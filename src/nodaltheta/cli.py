@@ -59,6 +59,11 @@ class SpecError(ValueError):
 
 # -- curve spec parsing -------------------------------------------------
 
+def _is_int(x) -> bool:
+    """JSON integer; ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph(spec: dict) -> DualGraph:
     if not isinstance(spec, dict):
         raise SpecError("$", "curve spec must be a JSON object")
@@ -70,7 +75,7 @@ def parse_graph(spec: dict) -> DualGraph:
         if not isinstance(v, dict) or "genus" not in v:
             raise SpecError(f"vertices[{i}]", "need an object with a genus field")
         g = v["genus"]
-        if not isinstance(g, int) or g < 0:
+        if not _is_int(g) or g < 0:
             raise SpecError(f"vertices[{i}].genus", "need a nonnegative integer")
         genera.append(g)
     edges_spec = spec.get("edges", [])
@@ -79,7 +84,7 @@ def parse_graph(spec: dict) -> DualGraph:
     edges = []
     for i, e in enumerate(edges_spec):
         if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, int) for x in e)):
+                or not all(_is_int(x) for x in e)):
             raise SpecError(f"edges[{i}]", "need a pair of vertex indices")
         u, v = e
         if not (0 <= u < len(genera) and 0 <= v < len(genera)):
@@ -90,7 +95,7 @@ def parse_graph(spec: dict) -> DualGraph:
 
 def _parse_point(raw, path: str, prime: int):
     if not (isinstance(raw, list) and len(raw) == 2
-            and all(isinstance(x, int) for x in raw)):
+            and all(_is_int(x) for x in raw)):
         raise SpecError(path, "need a point [a, 1] or [1, 0]")
     try:
         return gc.canonical_point(tuple(raw), prime)
@@ -104,7 +109,7 @@ def parse_curve(spec: dict, prime: int | None = None) -> gc.GraphCurve:
         raise SpecError("vertices", "branch-point curves need genus 0 everywhere")
     if prime is None:
         prime = spec.get("field_prime")
-    if not isinstance(prime, int):
+    if not _is_int(prime):
         raise SpecError("field_prime", "need a prime (or pass --primes)")
     from .modp import is_prime
 
@@ -347,6 +352,12 @@ def _cmd_wcount(args) -> int:
             raise SpecError("--primes", "need comma-separated primes") from exc
     else:
         primes = [spec.get("field_prime")]
+    if args.r < 0:
+        raise SpecError("--r", "need a nonnegative integer")
+    if args.samples is not None and args.samples < 1:
+        raise SpecError("--samples", "need a positive integer")
+    if args.mode == "sample" and args.samples is None:
+        raise SpecError("--samples", "sample mode needs a sample count")
     if args.mode == "sample" and args.seed is None:
         raise SpecError("--seed", "sample mode is randomized and needs a seed")
     records = []
@@ -355,8 +366,7 @@ def _cmd_wcount(args) -> int:
         curve = parse_curve(spec, prime=p)
         degrees = _parse_degrees(args.degrees, curve.graph.num_vertices)
         result = gc.w_count(curve, degrees, r=args.r, mode=args.mode,
-                            sample_size=args.samples, seed=args.seed,
-                            threads=args.threads)
+                            sample_size=args.samples, seed=args.seed)
         counts[p] = result.count
         records.append({
             "prime": p,
@@ -439,11 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, formats=("table", "json"), **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("table", "json", "dot"),
-                       default="table")
+        p.add_argument("--format", choices=formats, default="table")
         return p
 
     p = add("genus", _cmd_genus, help="arithmetic genus and basic graph data")
@@ -466,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", required=True,
                    help="comma-separated multidegree in vertex order")
 
-    p = add("strata", _cmd_strata, help="stratify the compactified Picard "
-                                        "variety (or its theta divisor)")
+    p = add("strata", _cmd_strata, formats=("table", "json", "dot"),
+            help="stratify the compactified Picard variety (or its theta divisor)")
     p.add_argument("spec")
     p.add_argument("--theta", action="store_true")
 
@@ -490,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("abel", _cmd_abel, help="line bundle of an effective divisor")
     p.add_argument("spec")

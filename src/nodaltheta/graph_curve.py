@@ -27,8 +27,10 @@ import os
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dual_graph import DualGraph
-from .modp import inverse, is_prime, nullity, nullspace, rank
+from .modp import batch_rank, inverse, is_prime, nullity, nullspace, rank, stack_dtype
 
 INFINITY = (1, 0)
 
@@ -644,87 +646,70 @@ class WCountResult:
     seed: int | None = None
 
 
-def _count_chunk(curve, degrees, r, free, assignments):
-    """Count assignments of the free scalars giving h^0 >= r + 1."""
-    p = curve.prime
-    pairs, total = _edge_rows(curve, degrees)
-    forest = frozenset(curve.graph.spanning_forest())
-    base_rows = []
-    for e, (row1, row2) in enumerate(pairs):
-        if e in forest:
-            base_rows.append([(b - a) % p for a, b in zip(row1, row2)])
-    free_pairs = [pairs[e] for e in free]
-    threshold = r + 1
-    count = 0
-    for values in assignments:
-        rows = list(base_rows)
-        for (row1, row2), c in zip(free_pairs, values):
-            rows.append([(b - c * a) % p for a, b in zip(row1, row2)])
-        if total - rank(rows, p) >= threshold:
-            count += 1
-    return count
+#: Matrix entries per stacked elimination in a torus scan (64 KB per int64
+#: array), so a scan's working set stays small whatever the torus size.
+CHUNK_CELLS = 1 << 13
 
 
 def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
             sample_size: int | None = None, seed: int | None = None,
-            budget: int | None = None, threads: int = 1) -> WCountResult:
+            budget: int | None = None) -> WCountResult:
     """Count tree-normalized gluing vectors whose bundle has h^0 >= r + 1.
 
     Exhaustive mode scans the whole torus (F_p*)^k over the free edges and
     refuses loudly when the scan would exceed the rank-computation budget;
-    sample mode draws seeded uniform vectors instead.
+    sample mode draws seeded uniform vectors instead.  Points are ranked
+    in chunks of at most ``CHUNK_CELLS`` matrix entries by one stacked
+    elimination each, so memory stays bounded whatever the torus size.
     """
+    if r < 0:
+        raise ValueError(f"r must be nonnegative, got {r}")
     p = curve.prime
     free = free_gluing_edges(curve)
     k = len(free)
     if mode == "exhaustive":
-        cost = (p - 1) ** k
+        total = (p - 1) ** k
         limit = budget if budget is not None else rank_budget()
-        if cost > limit:
-            raise BudgetExceededError(cost, limit)
-        if threads > 1 and k >= 1 and p > 2:
-            count = _count_parallel(curve, degrees, r, free, threads)
-        else:
-            assignments = itertools.product(range(1, p), repeat=k)
-            count = _count_chunk(curve, degrees, r, free, assignments)
-        total = cost
+        if total > limit:
+            raise BudgetExceededError(total, limit)
         used_seed = None
     elif mode == "sample":
         if sample_size is None or seed is None:
             raise ValueError("sample mode needs sample_size and seed")
+        if sample_size < 1:
+            raise ValueError(f"sample_size must be positive, got {sample_size}")
         rng = random.Random(seed)
-        assignments = (
-            tuple(rng.randrange(1, p) for _ in range(k)) for _ in range(sample_size)
-        )
-        count = _count_chunk(curve, degrees, r, free, assignments)
         total = sample_size
         used_seed = seed
     else:
         raise ValueError(f"unknown w_count mode {mode!r}")
+    dtype = stack_dtype(p)
+    pairs, ncols = _edge_rows(curve, degrees)
+    forest = sorted(curve.graph.spanning_forest())
+    fixed = np.array([[(b - a) % p for a, b in zip(*pairs[e])] for e in forest],
+                     dtype).reshape(len(forest), ncols)
+    row1, row2 = (np.array([pairs[e][side] for e in free], dtype).reshape(k, ncols)
+                  for side in (0, 1))
+    step = max(1, CHUNK_CELLS // max(1, (len(forest) + k) * ncols))
+    count = 0
+    for start in range(0, total, step):
+        size = min(step, total - start)
+        values = np.empty((size, k), dtype)
+        if mode == "exhaustive":  # points start.., in itertools.product order
+            rest = np.arange(start, start + size, dtype=np.int64)
+            for j in reversed(range(k)):
+                rest, digit = np.divmod(rest, p - 1)
+                values[:, j] = digit + 1
+        else:
+            values.flat = [rng.randrange(1, p) for _ in range(size * k)]
+        stack = np.concatenate([
+            np.broadcast_to(fixed, (size,) + fixed.shape),
+            (row2 - values[:, :, None] * row1) % p,
+        ], axis=1)
+        count += int(np.count_nonzero(ncols - batch_rank(stack, p) >= r + 1))
     exponent = math.log(count) / math.log(p) if count > 0 else None
     return WCountResult(prime=p, r=r, count=count, total=total,
                         exponent_estimate=exponent, mode=mode, seed=used_seed)
-
-
-def _count_parallel(curve, degrees, r, free, threads):
-    from concurrent.futures import ProcessPoolExecutor
-
-    p = curve.prime
-    k = len(free)
-    firsts = list(range(1, p))
-    chunks = [firsts[i::threads] for i in range(threads)]
-    jobs = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for chunk in chunks:
-            if not chunk:
-                continue
-            assignments = [
-                (first,) + rest
-                for first in chunk
-                for rest in itertools.product(range(1, p), repeat=k - 1)
-            ]
-            jobs.append(pool.submit(_count_chunk, curve, degrees, r, free, assignments))
-        return sum(job.result() for job in jobs)
 
 
 @dataclass(frozen=True)

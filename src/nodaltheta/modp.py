@@ -1,11 +1,16 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Matrices are lists of row lists with entries already reduced mod p.
-Everything is plain integer arithmetic; the matrices coming from gluing
-systems are tiny (at most a few dozen rows), so clarity beats vectorizing.
+Single matrices are lists of row lists with entries already reduced mod
+p, handled in plain integer arithmetic: the gluing systems are tiny (at
+most a few dozen rows), so per-matrix numpy overhead would dominate.
+Scans that need the rank of many same-shaped matrices (one per point of
+a gluing torus) stack them and call ``batch_rank``, which eliminates the
+whole stack at once with numpy.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def is_prime(n: int) -> bool:
@@ -81,3 +86,41 @@ def nullspace(rows, ncols, p):
             vec[pc] = (-work[r][fc]) % p
         basis.append(vec)
     return basis
+
+
+def stack_dtype(p: int):
+    """Element type of a matrix stack mod p: int64 for p < 2^31, where
+    every product of two entries stays below 2^62, exact Python integers
+    (object) beyond that."""
+    return np.int64 if p < 2 ** 31 else object
+
+
+def batch_rank(stack, p: int):
+    """Ranks mod p of a stack of matrices of shape (N, m, n).
+
+    Entries must lie in [0, p) and the dtype must be ``stack_dtype(p)``.
+    Fraction-free forward elimination: column by column, each matrix picks
+    its own pivot among the rows not yet used as pivots, and those rows
+    become ``piv * row_i - a_ic * row_pivot`` reduced mod p, so no inverse
+    is taken and no intermediate reaches p^2.  The rank is the number of
+    pivot rows.  The input is not modified.
+    """
+    count, m, n = stack.shape
+    used = np.zeros((count, m), dtype=bool)
+    a = stack.copy()
+    mats = np.arange(count)
+    for c in range(n):
+        candidates = (a[:, :, c] != 0) & ~used
+        has = candidates.any(axis=1)
+        if not has.any():
+            continue
+        pivot = candidates.argmax(axis=1)
+        prow = a[mats, pivot, c:]
+        used[mats[has], pivot[has]] = True
+        rest = ~used & has[:, None]
+        scale = np.where(rest, prow[:, :1], 1)
+        factor = np.where(rest, a[:, :, c], 0)
+        # column c itself is never read again, so only the columns after it
+        a[:, :, c + 1:] = (scale[:, :, None] * a[:, :, c + 1:]
+                           - factor[:, :, None] * prow[:, None, 1:]) % p
+    return np.count_nonzero(used, axis=1)

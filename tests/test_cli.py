@@ -254,6 +254,45 @@ class TestErrors:
         assert run(["wcount", theta_spec, "--degrees", "0,1",
                     "--mode", "sample", "--samples", "10"]) == 2
 
+    @pytest.mark.parametrize("extra, path", [
+        (["--mode", "sample", "--samples", "-3", "--seed", "1"], "--samples"),
+        (["--mode", "sample", "--samples", "0", "--seed", "1"], "--samples"),
+        (["--mode", "sample", "--seed", "1"], "--samples"),
+        (["--r", "-2"], "--r"),
+    ])
+    def test_wcount_bad_counts(self, capsys, theta_spec, extra, path):
+        assert run(["wcount", theta_spec, "--degrees", "0,1"] + extra) == 2
+        assert f"spec error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, path", [
+        ("genus", "vertices[1].genus"),
+        ("edge", "edges[2]"),
+        ("point", "branch_points.1[0]"),
+    ])
+    def test_json_booleans_rejected(self, tmp_path, capsys, field, path):
+        spec = json.loads(json.dumps(THETA_SPEC))
+        if field == "genus":
+            spec["vertices"][1]["genus"] = True
+        elif field == "edge":
+            spec["edges"][2] = [0, True]
+        else:
+            spec["branch_points"]["1"][0] = [True, 1]
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(spec))
+        assert run(["h0", str(bad), "--degrees", "0,0", "--gluing", "1,1,1"]) == 2
+        assert f"spec error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["genus"], ["multidegrees"], ["orient"], ["stabilize", "--degree", "0,1"],
+        ["irreducible"], ["h0", "--degrees", "0,0", "--gluing", "1,1,1"],
+        ["wcount", "--degrees", "0,1"], ["abel", "--points", "1:5"],
+        ["hyperelliptic"],
+    ])
+    def test_dot_format_only_on_strata(self, capsys, theta_spec, argv):
+        assert run([argv[0], theta_spec] + argv[1:] + ["--format", "dot"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--format" in captured.err
+
 
 class TestSelfcheckCommand:
     def test_fresh_checkout_passes(self, capsys):

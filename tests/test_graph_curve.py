@@ -340,12 +340,46 @@ class TestWCount:
         counts = {p: w_count(theta_curve(p), (0, 1)).count for p in (5, 7, 11)}
         assert counts == {5: 3, 7: 5, 11: 9}
 
-    def test_parallel_scan_matches_serial(self):
+    def test_rejects_negative_r_and_empty_sample(self):
         curve = theta_curve(11)
-        serial = w_count(curve, (0, 1), threads=1)
-        parallel = w_count(curve, (0, 1), threads=2)
-        assert parallel.count == serial.count == 9
-        assert parallel.total == serial.total
+        with pytest.raises(ValueError, match="r must be nonnegative"):
+            w_count(curve, (0, 1), r=-2)
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="sample_size"):
+                w_count(curve, (0, 1), mode="sample", sample_size=size, seed=1)
+
+    @pytest.mark.parametrize("p", [2, 3, 11])
+    def test_exhaustive_matches_per_point_ranks(self, p):
+        # random curves with forests, loops, k = 0 free edges and
+        # degree -1 components (zero columns), against one h0 per point
+        rng = random.Random(p)
+        for _ in range(40):
+            curve = random_rational_curve(rng, prime=p, max_e=3 if p == 11 else 4)
+            n = curve.graph.num_vertices
+            degrees = tuple(rng.randrange(-1, 3) for _ in range(n))
+            r = rng.randrange(0, 3)
+            free = free_gluing_edges(curve)
+            expected = 0
+            for values in itertools.product(range(1, p), repeat=len(free)):
+                gluing = [1] * curve.graph.num_edges
+                for e, c in zip(free, values):
+                    gluing[e] = c
+                expected += h0(curve, GluedLineBundle(degrees, tuple(gluing))) >= r + 1
+            assert w_count(curve, degrees, r=r).count == expected
+
+    @pytest.mark.parametrize("degrees", [(0, 1), (1, 1)])
+    def test_sample_at_large_prime_matches_per_point_ranks(self, degrees):
+        # p above 2^31 runs the stacked elimination on exact integers
+        p = 2147483659
+        curve = theta_curve(p)
+        result = w_count(curve, degrees, mode="sample", sample_size=300, seed=5)
+        rng = random.Random(5)
+        expected = sum(
+            h0(curve, GluedLineBundle(degrees, (1, rng.randrange(1, p), rng.randrange(1, p))))
+            >= 1
+            for _ in range(300)
+        )
+        assert (result.count, result.total) == (expected, 300)
 
 
 class TestTorusAction:

@@ -1,0 +1,51 @@
+import random
+
+import numpy as np
+import pytest
+
+from nodaltheta.modp import batch_rank, rank, stack_dtype
+
+# 2^61 - 1 overflows int64 products: only exact integers get it right
+PRIMES = [2, 3, 11, 2147483659, 2 ** 61 - 1]
+
+
+def random_matrix(rng, p, m, n, deficient):
+    """Random m x n matrix mod p; ``deficient`` builds every row from fewer
+    than m random rows, so the rank is below m."""
+    if deficient and m > 1:
+        base = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(1, m))]
+        rows = []
+        for _ in range(m):
+            coeffs = [rng.randrange(p) for _ in base]
+            rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) % p for j in range(n)])
+        return rows
+    return [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n)]
+            for _ in range(m)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_batch_rank_matches_rank(p):
+    rng = random.Random(p)
+    for trial in range(80):
+        m, n = rng.randrange(0, 6), rng.randrange(0, 6)
+        mats = [random_matrix(rng, p, m, n, trial % 2 == 0)
+                for _ in range(rng.randrange(0, 25))]
+        stack = np.array(mats, dtype=stack_dtype(p)).reshape(len(mats), m, n)
+        before = stack.copy()
+        assert batch_rank(stack, p).tolist() == [rank(rows, p) for rows in mats]
+        assert np.array_equal(stack, before)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_batch_rank_degenerate_shapes(p):
+    dtype = stack_dtype(p)
+    for shape in [(0, 3, 3), (4, 0, 3), (4, 3, 0), (2, 0, 0)]:
+        assert batch_rank(np.zeros(shape, dtype), p).tolist() == [0] * shape[0]
+    zeros_and_identity = np.stack([np.zeros((3, 3), np.int64), np.eye(3, dtype=np.int64)])
+    zeros_and_identity = zeros_and_identity.astype(dtype)
+    assert batch_rank(zeros_and_identity, p).tolist() == [0, 3]
+
+
+def test_stack_dtype_switches_at_int64_safe_primes():
+    assert stack_dtype(2147483647) is np.int64
+    assert stack_dtype(2147483659) is object
