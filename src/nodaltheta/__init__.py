@@ -32,6 +32,7 @@ from .strata import (  # noqa: F401
 from .graph_curve import (  # noqa: F401
     INFINITY,
     BudgetExceededError,
+    BudgetSettingError,
     GluedLineBundle,
     GraphCurve,
     abel_image,

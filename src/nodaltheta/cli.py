@@ -30,6 +30,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .dual_graph import DualGraph, GraphTooLargeError
+from .modp import is_prime
 from .multidegree import (
     InternalConsistencyError,
     enumerate_semistable,
@@ -111,8 +112,6 @@ def parse_curve(spec: dict, prime: int | None = None) -> gc.GraphCurve:
         prime = spec.get("field_prime")
     if not _is_int(prime):
         raise SpecError("field_prime", "need a prime (or pass --primes)")
-    from .modp import is_prime
-
     if not is_prime(prime):
         raise SpecError("field_prime", f"{prime} is not prime")
     bp = spec.get("branch_points")
@@ -345,11 +344,16 @@ def _cmd_h0(args) -> int:
 
 def _cmd_wcount(args) -> int:
     spec = load_spec(args.spec)
-    if args.primes:
+    if args.primes is not None:
         try:
             primes = [int(x) for x in args.primes.split(",")]
         except ValueError as exc:
             raise SpecError("--primes", "need comma-separated primes") from exc
+        for i, p in enumerate(primes):
+            if not is_prime(p):
+                raise SpecError("--primes", f"{p} is not prime")
+            if p in primes[:i]:
+                raise SpecError("--primes", f"{p} is given twice")
     else:
         primes = [spec.get("field_prime")]
     if args.r < 0:
@@ -524,7 +528,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except SpecError as exc:
+    except (SpecError, gc.BudgetSettingError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
     except gc.BudgetExceededError as exc:

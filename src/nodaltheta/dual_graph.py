@@ -286,28 +286,23 @@ def connected_subsets(graph: DualGraph) -> tuple[frozenset, ...]:
         raise GraphTooLargeError(
             f"{n} vertices exceed the exhaustive subset cap of {MAX_SUBSET_VERTICES}"
         )
-    nonloop = [(u, v) for u, v in graph.edges if u != v]
+    nbr = [0] * n  # bitmask of the non-loop neighbours of each vertex
+    for u, v in graph.edges:
+        if u != v:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
     out = []
     for bits in range(1, 1 << n):
-        members = [v for v in range(n) if bits >> v & 1]
-        if len(members) == 1:
-            out.append(frozenset(members))
-            continue
-        # union-find restricted to the subset
-        idx = {v: i for i, v in enumerate(members)}
-        parent = list(range(len(members)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in nonloop:
-            if u in idx and v in idx:
-                ru, rv = find(idx[u]), find(idx[v])
-                if ru != rv:
-                    parent[ru] = rv
-        if len({find(i) for i in range(len(members))}) == 1:
-            out.append(frozenset(members))
+        # grow the closure of the lowest member inside the subset
+        reach = frontier = bits & -bits
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & bits & ~reach
+            reach |= frontier
+        if reach == bits:
+            out.append(frozenset(v for v in range(n) if bits >> v & 1))
     return tuple(out)

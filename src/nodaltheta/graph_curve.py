@@ -52,10 +52,24 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+class BudgetSettingError(ValueError):
+    """``THETA_STRATA_BUDGET`` is set to something other than a positive
+    integer."""
+
+
 def rank_budget() -> int:
     """Active rank-computation budget (env THETA_STRATA_BUDGET overrides)."""
     raw = os.environ.get("THETA_STRATA_BUDGET")
-    return int(raw) if raw else DEFAULT_RANK_BUDGET
+    if not raw:
+        return DEFAULT_RANK_BUDGET
+    problem = f"THETA_STRATA_BUDGET: need an integer >= 1, got {raw!r}"
+    try:
+        budget = int(raw)
+    except ValueError as exc:
+        raise BudgetSettingError(problem) from exc
+    if budget < 1:
+        raise BudgetSettingError(problem)
+    return budget
 
 
 def canonical_point(value, p: int) -> tuple[int, int]:

@@ -2,7 +2,7 @@
 
 A multidegree on a graph with vertices ``0..n-1`` is an integer tuple of
 length ``n``; throughout, the total degree is ``g - 1`` with ``g`` the
-arithmetic genus.  Two equivalent notions are implemented side by side:
+arithmetic genus.  Two equivalent notions are used:
 
 * the subcurve inequality ``d_Z >= p_a(Z) - 1`` over all connected
   subcurves ``Z`` (strict on proper subcurves for stability), and
@@ -11,16 +11,25 @@ arithmetic genus.  Two equivalent notions are implemented side by side:
   exactly one), stability requiring the oriented non-loop graph to be
   strongly connected on every component.
 
-Keeping both is deliberate: their agreement on exhaustive graph families
-is one of the package's main self-checks.
+The predicates test the subcurve inequalities; the enumeration searches
+in orientation coordinates.  Shifting by ``genus(v) + loops(v) - 1``
+leaves ``b_v``, the non-loop ending half-edges, and the inequalities
+become ``|E(Z)| <= b_Z <= #edges touching Z`` over the loopless core
+(non-loop edges only), with total ``b_V = #non-loop edges`` (Hakimi
+1965); stability adds 1 to the lower and takes 1 from the upper bound
+on proper subcurves of a connected graph.  The search fixes ``b_v`` in
+vertex order, each connected subcurve bounding the vertex that is its
+highest; for semistability these are the bounds of the projection of a
+base polyhedron onto the assigned prefix, so the search never backs out
+of a dead end, and its output is lexicographic as generated.  The
+agreement of both forms with exhaustive orientation enumeration on
+small graph families is one of the package's main self-checks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dual_graph import (
     DualGraph,
@@ -63,6 +72,17 @@ def degree_box(graph: DualGraph) -> list[tuple[int, int]]:
     return box
 
 
+def _core(graph: DualGraph) -> DualGraph:
+    """The loopless genus-0 core: the non-loop edges on the same vertices.
+
+    Connected subcurves depend only on the core, so the predicates and the
+    enumeration look up ``connected_subsets`` on it, and decorated graphs
+    that share a core share one cache entry.
+    """
+    return DualGraph((0,) * graph.num_vertices,
+                     tuple((u, v) for u, v in graph.edges if u != v))
+
+
 # -- subcurve-inequality form ------------------------------------------
 
 def is_semistable(graph: DualGraph, d) -> bool:
@@ -75,7 +95,7 @@ def is_semistable(graph: DualGraph, d) -> bool:
     _check_degree(graph, d)
     if total(d) != graph.arithmetic_genus() - 1:
         return False
-    for sub in connected_subsets(graph):
+    for sub in connected_subsets(_core(graph)):
         if sum(d[v] for v in sub) < graph.arithmetic_genus(sub) - 1:
             return False
     return True
@@ -95,7 +115,7 @@ def is_stable(graph: DualGraph, d) -> bool:
     if total(d) != graph.arithmetic_genus() - 1:
         return False
     n = graph.num_vertices
-    for sub in connected_subsets(graph):
+    for sub in connected_subsets(_core(graph)):
         if len(sub) == n:
             continue
         if sum(d[v] for v in sub) < graph.arithmetic_genus(sub):
@@ -107,42 +127,11 @@ def _component_stable(graph: DualGraph, d, comp) -> bool:
     comp_set = frozenset(comp)
     if sum(d[v] for v in comp) != graph.arithmetic_genus(comp) - 1:
         return False
-    for sub in connected_subsets(graph):
+    for sub in connected_subsets(_core(graph)):
         if sub < comp_set:
             if sum(d[v] for v in sub) < graph.arithmetic_genus(sub):
                 return False
     return True
-
-
-def _candidates(graph: DualGraph, box) -> np.ndarray:
-    """Integer matrix of all box points with total degree g - 1."""
-    g1 = graph.arithmetic_genus() - 1
-    lows = [lo for lo, _ in box]
-    widths = [hi - lo for lo, hi in box]
-    slack = g1 - sum(lows)
-    if slack < 0 or slack > sum(widths):
-        return np.empty((0, graph.num_vertices), dtype=np.int64)
-    # distribute `slack` over vertices, bounded by widths
-    rows: list[list[int]] = []
-    offsets: list[int] = []
-    suffix = [0] * (len(widths) + 1)
-    for i in range(len(widths) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + widths[i]
-
-    def rec(i, remaining):
-        if i == len(widths):
-            rows.append(list(offsets))
-            return
-        lo = max(0, remaining - suffix[i + 1])
-        hi = min(widths[i], remaining)
-        for k in range(lo, hi + 1):
-            offsets.append(k)
-            rec(i + 1, remaining - k)
-            offsets.pop()
-
-    rec(0, slack)
-    cand = np.array(rows, dtype=np.int64) if rows else np.empty((0, len(widths)), dtype=np.int64)
-    return cand + np.array(lows, dtype=np.int64)
 
 
 def enumerate_semistable(graph: DualGraph) -> list[Multidegree]:
@@ -180,21 +169,63 @@ def enumerate_stable(graph: DualGraph) -> list[Multidegree]:
 
 
 def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
-    cand = _candidates(graph, degree_box(graph))
-    if cand.shape[0] == 0:
-        return []
+    """Depth-first search over ``b_v = d_v - genus(v) - loops(v) + 1`` in
+    vertex order; ``strict`` (stability) expects a connected graph.
+
+    The last vertex takes what is left of the total, unchecked: a
+    connected subcurve ``Z`` through it bounds it exactly when the
+    complement ``W`` has ``|E(W)| <= b_W <= #edges touching W`` (1 tighter
+    on each side for stability), and the bounds already applied to the
+    components of ``W`` imply that.
+    """
     n = graph.num_vertices
-    subs = [s for s in connected_subsets(graph) if not (strict and len(s) == n)]
-    if subs:
-        masks = np.zeros((len(subs), n), dtype=np.int64)
-        bounds = np.zeros(len(subs), dtype=np.int64)
-        for i, s in enumerate(subs):
-            for v in s:
-                masks[i, v] = 1
-            bounds[i] = graph.arithmetic_genus(s) - (0 if strict else 1)
-        keep = (cand @ masks.T >= bounds).all(axis=1)
-        cand = cand[keep]
-    return sorted(tuple(int(x) for x in row) for row in cand)
+    shift = [g - 1 for g in graph.genera]
+    for u, v in graph.edges:
+        if u == v:
+            shift[u] += 1
+    core = _core(graph)
+    total_b = core.num_edges
+    if n == 1:
+        return [(shift[0],)]
+    edge_masks = [(1 << u) | (1 << v) for u, v in core.edges]
+    bounds = [[] for _ in range(n - 1)]  # per highest vertex: (rest of Z, lo, hi)
+    for sub in connected_subsets(core):
+        top = max(sub)
+        if top == n - 1:
+            continue
+        mask = 0
+        for v in sub:
+            mask |= 1 << v
+        inner = touching = 0
+        for em in edge_masks:
+            hit = em & mask
+            if hit:
+                touching += 1
+                inner += hit == em
+        bounds[top].append((tuple(sub - {top}), inner + strict, touching - strict))
+    b = [0] * n
+    out: list[Multidegree] = []
+
+    def extend(v: int, assigned: int) -> None:
+        lo, hi = 0, total_b - assigned
+        for rest, lo_z, hi_z in bounds[v]:
+            for u in rest:
+                lo_z -= b[u]
+                hi_z -= b[u]
+            if lo_z > lo:
+                lo = lo_z
+            if hi_z < hi:
+                hi = hi_z
+        for x in range(lo, hi + 1):
+            b[v] = x
+            if v < n - 2:
+                extend(v + 1, assigned + x)
+            else:
+                b[n - 1] = total_b - assigned - x
+                out.append(tuple(map(int.__add__, shift, b)))
+
+    extend(0, 0)
+    return out
 
 
 # -- orientation form ---------------------------------------------------
@@ -228,37 +259,11 @@ def multidegree_of_orientation(graph: DualGraph, orientation) -> Multidegree:
 def is_stable_orientation(graph: DualGraph, orientation) -> bool:
     """No subcurve inside a component has its whole cut pointing one way.
 
-    Computed twice, by the subset scan and as strong connectivity of the
-    oriented non-loop graph on each component; disagreement is a bug and
-    raises.  Single-vertex components pass vacuously.
+    Equivalently, the oriented non-loop graph is strongly connected on
+    each component, which is what is computed; single-vertex components
+    pass vacuously.  The subset scan of the definition is the test
+    suite's oracle for this.
     """
-    by_scan = _stable_orientation_scan(graph, orientation)
-    by_scc = _stable_orientation_scc(graph, orientation)
-    if by_scan != by_scc:
-        raise InternalConsistencyError(
-            "subset scan and strong connectivity disagree on orientation stability"
-        )
-    return by_scan
-
-
-def _stable_orientation_scan(graph: DualGraph, orientation) -> bool:
-    ends = orientation_ends(graph, orientation)
-    components = graph.connected_components()
-    for comp in components:
-        comp_set = frozenset(comp)
-        for sub in connected_subsets(graph):
-            if not (sub < comp_set):
-                continue
-            cut = graph.cut_edges(sub)
-            if not cut:
-                continue
-            outgoing = sum(1 for e in cut if ends[e] not in sub)
-            if outgoing == 0 or outgoing == len(cut):
-                return False
-    return True
-
-
-def _stable_orientation_scc(graph: DualGraph, orientation) -> bool:
     ends = orientation_ends(graph, orientation)
     starts = [graph.edges[e][0] if orientation[e] == 0 else graph.edges[e][1]
               for e in range(graph.num_edges)]
@@ -362,7 +367,7 @@ def destabilizing_nodes(graph: DualGraph, d) -> tuple[int, ...]:
 
 def _equality_subcurves(graph: DualGraph, d):
     n = graph.num_vertices
-    for sub in connected_subsets(graph):
+    for sub in connected_subsets(_core(graph)):
         if len(sub) == n:
             continue
         if sum(d[v] for v in sub) == graph.arithmetic_genus(sub) - 1:

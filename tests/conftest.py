@@ -1,8 +1,9 @@
 """Shared brute-force oracles and small builders for the test suite.
 
 The oracles here deliberately avoid the library's algorithms: component
-counts by path search, bridges by per-edge removal, stability by scanning
-every subset (not only connected ones), matrix rank by minor expansion.
+counts by path search, bridges by per-edge removal, stability of degrees
+and of orientations by scanning every subset (not only connected ones),
+matrix rank by minor expansion.
 Expected values frozen in the tests were computed with these.
 """
 
@@ -75,6 +76,48 @@ def brute_is_stable(graph: DualGraph, d) -> bool:
             if sum(d[v] for v in sub) < graph.arithmetic_genus(sub):
                 return False
     return True
+
+
+def brute_is_stable_orientation(graph: DualGraph, orientation) -> bool:
+    """No proper nonempty subset of a component has its whole cut pointing
+    out of it or into it.  Every subset is scanned, connected or not: a
+    one-way cut of a disconnected subset is also one-way on each piece."""
+    ends = [v if orientation[e] == 0 else u for e, (u, v) in enumerate(graph.edges)]
+    n = graph.num_vertices
+    for comp in graph.connected_components():
+        comp_set = frozenset(comp)
+        for bits in range(1, 1 << n):
+            sub = frozenset(v for v in range(n) if bits >> v & 1)
+            if not sub < comp_set:
+                continue
+            cut = [e for e, (u, v) in enumerate(graph.edges) if (u in sub) != (v in sub)]
+            outgoing = sum(1 for e in cut if ends[e] not in sub)
+            if cut and outgoing in (0, len(cut)):
+                return False
+    return True
+
+
+def brute_box_scan(graph: DualGraph, predicate) -> list:
+    """Every multidegree of total ``g - 1`` in the per-vertex box
+    ``genus + loops - 1 <= d_v <= genus + loops - 1 + valency`` (loops
+    counted twice, a superset of the semistable box) that passes
+    ``predicate``, in lexicographic order."""
+    g1 = graph.arithmetic_genus() - 1
+    ranges = []
+    for v in range(graph.num_vertices):
+        loops = sum(1 for a, b in graph.edges if a == b == v)
+        lo = graph.genera[v] + loops - 1
+        ranges.append(range(lo, lo + graph.valency(v) + 1))
+    return [d for d in itertools.product(*ranges) if sum(d) == g1 and predicate(graph, d)]
+
+
+def disjoint_union(*graphs: DualGraph) -> DualGraph:
+    genera, edges, offset = (), (), 0
+    for g in graphs:
+        genera += g.genera
+        edges += tuple((u + offset, v + offset) for u, v in g.edges)
+        offset += g.num_vertices
+    return DualGraph(genera, edges)
 
 
 def brute_rank(rows, p: int) -> int:

@@ -250,6 +250,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "budget" in err and "100" in err
 
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0"])
+    def test_bad_budget_setting(self, capsys, theta_spec, monkeypatch, raw):
+        monkeypatch.setenv("THETA_STRATA_BUDGET", raw)
+        assert run(["wcount", theta_spec, "--degrees", "0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: THETA_STRATA_BUDGET:") and repr(raw) in err
+
+    @pytest.mark.parametrize("raw, message", [
+        ("5,4", "4 is not prime"),
+        ("5,7,5", "5 is given twice"),
+        ("", "need comma-separated primes"),
+    ])
+    def test_bad_primes_flag(self, capsys, theta_spec, raw, message):
+        assert run(["wcount", theta_spec, "--degrees", "0,1", "--primes", raw]) == 2
+        assert capsys.readouterr().err == f"spec error: --primes: {message}\n"
+
     def test_sample_mode_needs_seed(self, capsys, theta_spec):
         assert run(["wcount", theta_spec, "--degrees", "0,1",
                     "--mode", "sample", "--samples", "10"]) == 2

@@ -13,8 +13,10 @@ from conftest import (
 )
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.graph_curve import (
+    DEFAULT_RANK_BUDGET,
     INFINITY,
     BudgetExceededError,
+    BudgetSettingError,
     EffectiveNodeDivisor,
     GluedLineBundle,
     GraphCurve,
@@ -31,6 +33,7 @@ from nodaltheta.graph_curve import (
     imposes_independent_conditions,
     is_admissible,
     normalization_h0,
+    rank_budget,
     restrict_bundle,
     section_space,
     torus_rescale,
@@ -325,6 +328,19 @@ class TestWCount:
         curve = theta_curve(11)
         with pytest.raises(BudgetExceededError):
             w_count(curve, (0, 1), budget=10)
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-5"])
+    def test_budget_setting_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("THETA_STRATA_BUDGET", raw)
+        with pytest.raises(BudgetSettingError, match=f"THETA_STRATA_BUDGET.*{raw!r}"):
+            rank_budget()
+        with pytest.raises(BudgetSettingError):
+            w_count(theta_curve(5), (0, 1))
+
+    @pytest.mark.parametrize("raw, want", [("", DEFAULT_RANK_BUDGET), ("1", 1), ("250", 250)])
+    def test_budget_setting_accepted(self, monkeypatch, raw, want):
+        monkeypatch.setenv("THETA_STRATA_BUDGET", raw)
+        assert rank_budget() == want
 
     def test_sample_mode_deterministic(self):
         curve = theta_curve(11)

@@ -1,8 +1,16 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import brute_is_semistable, brute_is_stable
+from conftest import (
+    brute_box_scan,
+    brute_is_semistable,
+    brute_is_stable,
+    brute_is_stable_orientation,
+    disjoint_union,
+)
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.families import (
     connected_multigraphs,
@@ -124,6 +132,53 @@ class TestEnumeration:
             assert set(enumerate_stable(graph)) <= set(enumerate_semistable(graph))
 
 
+@st.composite
+def small_multigraphs(draw):
+    """Decorated multigraphs with loops, possibly disconnected."""
+    n = draw(st.integers(1, 6))
+    genera = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    vertex = st.integers(0, n - 1)
+    edges = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=7)))
+    return DualGraph(genera, edges)
+
+
+class TestEnumerationOracles:
+    """The depth-first enumeration against a box scan with the all-subset
+    predicates of the test suite."""
+
+    def test_matches_box_scan_on_family(self):
+        for graph in connected_multigraphs(3, 5):
+            for dec in genus_decorations(graph, 1):
+                assert enumerate_semistable(dec) == brute_box_scan(dec, brute_is_semistable)
+                assert enumerate_stable(dec) == brute_box_scan(dec, brute_is_stable)
+
+    def test_disjoint_unions(self):
+        rng = random.Random(20071030)
+        family = [dec for graph in connected_multigraphs(3, 3)
+                  for dec in genus_decorations(graph, 1)]
+        for _ in range(40):
+            parts = rng.sample(family, rng.choice((2, 2, 3)))
+            union = disjoint_union(*parts)
+            semistable = enumerate_semistable(union)
+            assert semistable == brute_box_scan(union, brute_is_semistable)
+            assert semistable == sorted(
+                tuple(itertools.chain(*combo))
+                for combo in itertools.product(*map(enumerate_semistable, parts)))
+            assert enumerate_stable(union) == brute_box_scan(union, brute_is_stable)
+
+    def test_doubled_eight_cycle_counts(self):
+        pairs = [tuple(sorted((i, (i + 1) % 8))) for i in range(8)]
+        graph = DualGraph((0,) * 8, tuple(p for p in pairs for _ in (0, 1)))
+        assert len(enumerate_semistable(graph)) == 6305
+        assert len(enumerate_stable(graph)) == 255
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(small_multigraphs())
+    def test_random_multigraphs(self, graph):
+        assert enumerate_semistable(graph) == brute_box_scan(graph, brute_is_semistable)
+        assert enumerate_stable(graph) == brute_box_scan(graph, brute_is_stable)
+
+
 class TestOrientations:
     def test_cyclic_cycle_gives_zero(self):
         cycle = DualGraph((0, 0, 0, 0), ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -150,6 +205,12 @@ class TestOrientations:
     def test_loops_pass_vacuously(self):
         rose = DualGraph((0,), ((0, 0), (0, 0)))
         assert is_stable_orientation(rose, (0, 0)) is True
+
+    def test_matches_subset_scan_oracle(self):
+        for graph in connected_multigraphs(4, 6):
+            for orientation in itertools.product((0, 1), repeat=graph.num_edges):
+                assert (is_stable_orientation(graph, orientation)
+                        == brute_is_stable_orientation(graph, orientation))
 
 
 class TestFindStableOrientation:
