@@ -143,13 +143,13 @@ def load_spec(path: str) -> dict:
         raise SpecError(path, f"invalid JSON: {exc}") from exc
 
 
-def _parse_degrees(raw: str, n: int):
+def _parse_degrees(raw: str, n: int, flag: str):
     try:
         degrees = tuple(int(x) for x in raw.split(","))
     except ValueError as exc:
-        raise SpecError("--degrees", "need comma-separated integers") from exc
+        raise SpecError(flag, "need comma-separated integers") from exc
     if len(degrees) != n:
-        raise SpecError("--degrees", f"need {n} entries in vertex order")
+        raise SpecError(flag, f"need {n} entries in vertex order")
     return degrees
 
 
@@ -264,7 +264,7 @@ def _cmd_orient(args) -> int:
 
 def _cmd_stabilize(args) -> int:
     graph = parse_graph(load_spec(args.spec))
-    d = _parse_degrees(args.degree, graph.num_vertices)
+    d = _parse_degrees(args.degree, graph.num_vertices, "--degree")
     result = stabilize(graph, d)
     results = {
         "input_degree": list(d),
@@ -330,7 +330,7 @@ def _cmd_irreducible(args) -> int:
 def _cmd_h0(args) -> int:
     spec = load_spec(args.spec)
     curve = parse_curve(spec)
-    degrees = _parse_degrees(args.degrees, curve.graph.num_vertices)
+    degrees = _parse_degrees(args.degrees, curve.graph.num_vertices, "--degrees")
     gluing = _parse_gluing(args.gluing, curve.graph.num_edges)
     bundle = gc.GluedLineBundle(degrees, gluing)
     value = gc.h0(curve, bundle)
@@ -368,7 +368,7 @@ def _cmd_wcount(args) -> int:
     counts = {}
     for p in primes:
         curve = parse_curve(spec, prime=p)
-        degrees = _parse_degrees(args.degrees, curve.graph.num_vertices)
+        degrees = _parse_degrees(args.degrees, curve.graph.num_vertices, "--degrees")
         result = gc.w_count(curve, degrees, r=args.r, mode=args.mode,
                             sample_size=args.samples, seed=args.seed)
         counts[p] = result.count

@@ -11,19 +11,28 @@ arithmetic genus.  Two equivalent notions are used:
   exactly one), stability requiring the oriented non-loop graph to be
   strongly connected on every component.
 
-The predicates test the subcurve inequalities; the enumeration searches
-in orientation coordinates.  Shifting by ``genus(v) + loops(v) - 1``
-leaves ``b_v``, the non-loop ending half-edges, and the inequalities
-become ``|E(Z)| <= b_Z <= #edges touching Z`` over the loopless core
-(non-loop edges only), with total ``b_V = #non-loop edges`` (Hakimi
-1965); stability adds 1 to the lower and takes 1 from the upper bound
-on proper subcurves of a connected graph.  The search fixes ``b_v`` in
-vertex order, each connected subcurve bounding the vertex that is its
-highest; for semistability these are the bounds of the projection of a
-base polyhedron onto the assigned prefix, so the search never backs out
-of a dead end, and its output is lexicographic as generated.  The
-agreement of both forms with exhaustive orientation enumeration on
-small graph families is one of the package's main self-checks.
+The predicates, ``destabilizing_nodes`` and ``stabilize`` use the
+orientation form and have no size cap: ``_orient`` finds one realizing
+orientation by path reversal (Hakimi 1965), and the edges between its
+strong components are the destabilizing nodes, the cut edges of the
+equality subcurves ``d_Z = p_a(Z) - 1``.  No edge enters an equality
+subcurve in *any* realizing orientation, so those edges, and the way
+each points, do not depend on which orientation was found.
+
+The enumeration uses the subcurve form, in orientation coordinates.
+Shifting by ``genus(v) + loops(v) - 1`` leaves ``b_v``, the non-loop
+ending half-edges, and the inequalities become ``|E(Z)| <= b_Z <= #edges
+touching Z`` over the loopless core (non-loop edges only), with total
+``b_V = #non-loop edges``; stability adds 1 to the lower and takes 1
+from the upper bound on proper subcurves of a connected graph.  The
+search fixes ``b_v`` in vertex order, each connected subcurve bounding
+the vertex that is its highest; for semistability these are the bounds
+of the projection of a base polyhedron onto the assigned prefix, so the
+search never backs out of a dead end, and its output is lexicographic
+as generated.  It scans connected subcurves, so it keeps the subset
+cap.  The agreement of enumeration and predicates, and of both with
+exhaustive orientation enumeration on small graph families, is one of
+the package's main self-checks.
 """
 
 from __future__ import annotations
@@ -31,12 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dual_graph import (
-    DualGraph,
-    GraphTooLargeError,
-    MAX_SUBSET_EDGES,
-    connected_subsets,
-)
+from .dual_graph import DualGraph, connected_subsets
 
 Multidegree = tuple  # tuple[int, ...], one entry per vertex
 Orientation = tuple  # tuple[int, ...], one entry per edge: 0 keeps side 1
@@ -52,10 +56,6 @@ def _check_degree(graph: DualGraph, d) -> None:
         raise ValueError(
             f"multidegree length {len(d)} does not match {graph.num_vertices} vertices"
         )
-
-
-def total(d) -> int:
-    return sum(d)
 
 
 def degree_box(graph: DualGraph) -> list[tuple[int, int]]:
@@ -75,64 +75,134 @@ def degree_box(graph: DualGraph) -> list[tuple[int, int]]:
 def _core(graph: DualGraph) -> DualGraph:
     """The loopless genus-0 core: the non-loop edges on the same vertices.
 
-    Connected subcurves depend only on the core, so the predicates and the
-    enumeration look up ``connected_subsets`` on it, and decorated graphs
-    that share a core share one cache entry.
+    Connected subcurves depend only on the core, so the enumeration looks
+    up ``connected_subsets`` on it, and decorated graphs that share a core
+    share one cache entry.
     """
     return DualGraph((0,) * graph.num_vertices,
                      tuple((u, v) for u, v in graph.edges if u != v))
 
 
-# -- subcurve-inequality form ------------------------------------------
+# -- orientation core ---------------------------------------------------
 
-def is_semistable(graph: DualGraph, d) -> bool:
-    """Whether ``d_Z >= p_a(Z) - 1`` for every nonempty connected subcurve.
+def _orient(graph: DualGraph, d):
+    """Ending vertex of each edge in an orientation realizing ``d``, or
+    ``None`` when no orientation does.
 
-    Requires total degree ``g - 1``; anything else is immediately not
-    semistable.  Exhausts connected vertex subsets, so the graph must be
-    within the subset cap.
+    Every edge starts out ending at its second vertex; then, while some
+    vertex ``s`` has fewer ending half-edges than ``d`` asks for, a
+    breadth-first path along the current directions from ``s`` to a
+    vertex with too many is reversed.  If none is reachable, the set
+    reached from ``s`` has every cut edge pointing into it and still
+    falls short, so it violates its upper subcurve bound.
     """
     _check_degree(graph, d)
-    if total(d) != graph.arithmetic_genus() - 1:
-        return False
-    for sub in connected_subsets(_core(graph)):
-        if sum(d[v] for v in sub) < graph.arithmetic_genus(sub) - 1:
-            return False
-    return True
+    need = [x - g + 1 for x, g in zip(d, graph.genera)]
+    ends = []
+    for _u, v in graph.edges:
+        ends.append(v)
+        need[v] -= 1
+    if sum(need):
+        return None  # total degree is not g - 1
+    adj = graph.adjacency()
+    for s in range(graph.num_vertices):
+        while need[s] > 0:
+            came = {s: None}  # vertex -> edge it was reached by
+            queue = [s]
+            for v in queue:
+                if need[v] < 0:
+                    break
+                for e, w in adj[v]:
+                    if ends[e] == w and w not in came:
+                        came[w] = e
+                        queue.append(w)
+            else:
+                return None
+            need[s] -= 1
+            need[v] += 1
+            while v != s:
+                e = came[v]
+                a, b = graph.edges[e]
+                ends[e] = a + b - v
+                v = ends[e]
+    return ends
+
+
+def _strong_components(graph: DualGraph, ends) -> list[int]:
+    """Strong-component label per vertex of the non-loop edges oriented
+    toward ``ends`` (iterative Tarjan)."""
+    n = graph.num_vertices
+    succ = [[] for _ in range(n)]
+    for (a, b), end in zip(graph.edges, ends):
+        if a != b:
+            succ[a + b - end].append(end)
+    index = [-1] * n
+    low = [0] * n
+    label = [-1] * n
+    stack: list[int] = []
+    counter = components = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if label[w] == -1:  # w is still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = components
+                        if w == v:
+                            break
+                    components += 1
+    return label
+
+
+def _cross_edges(graph: DualGraph, ends) -> tuple[int, ...]:
+    """Edges joining two distinct strong components of the orientation."""
+    label = _strong_components(graph, ends)
+    return tuple(e for e, (a, b) in enumerate(graph.edges) if label[a] != label[b])
+
+
+def is_semistable(graph: DualGraph, d) -> bool:
+    """Whether ``d_Z >= p_a(Z) - 1`` for every nonempty connected subcurve,
+    decided as: some orientation realizes ``d``.
+
+    Requires total degree ``g - 1``; anything else is immediately not
+    semistable.
+    """
+    return _orient(graph, d) is not None
 
 
 def is_stable(graph: DualGraph, d) -> bool:
-    """Strict subcurve inequality on proper connected subcurves.
+    """Strict subcurve inequality on proper connected subcurves, decided
+    as: a realizing orientation has no edge between strong components.
 
     On a disconnected graph the multidegree is stable when its restriction
     to every connected component is stable there (with the component's own
     genus), which also forces the per-component totals.
     """
-    _check_degree(graph, d)
-    components = graph.connected_components()
-    if len(components) > 1:
-        return all(_component_stable(graph, d, comp) for comp in components)
-    if total(d) != graph.arithmetic_genus() - 1:
-        return False
-    n = graph.num_vertices
-    for sub in connected_subsets(_core(graph)):
-        if len(sub) == n:
-            continue
-        if sum(d[v] for v in sub) < graph.arithmetic_genus(sub):
-            return False
-    return True
+    ends = _orient(graph, d)
+    return ends is not None and not _cross_edges(graph, ends)
 
 
-def _component_stable(graph: DualGraph, d, comp) -> bool:
-    comp_set = frozenset(comp)
-    if sum(d[v] for v in comp) != graph.arithmetic_genus(comp) - 1:
-        return False
-    for sub in connected_subsets(_core(graph)):
-        if sub < comp_set:
-            if sum(d[v] for v in sub) < graph.arithmetic_genus(sub):
-                return False
-    return True
-
+# -- enumeration, in the subcurve form ---------------------------------
 
 def enumerate_semistable(graph: DualGraph) -> list[Multidegree]:
     """All semistable multidegrees, in lexicographic order."""
@@ -264,44 +334,7 @@ def is_stable_orientation(graph: DualGraph, orientation) -> bool:
     pass vacuously.  The subset scan of the definition is the test
     suite's oracle for this.
     """
-    ends = orientation_ends(graph, orientation)
-    starts = [graph.edges[e][0] if orientation[e] == 0 else graph.edges[e][1]
-              for e in range(graph.num_edges)]
-    succ = [[] for _ in range(graph.num_vertices)]
-    for e in range(graph.num_edges):
-        if not graph.is_loop(e):
-            succ[starts[e]].append(ends[e])
-    for comp in graph.connected_components():
-        if len(comp) == 1:
-            continue
-        if not _strongly_connected(succ, comp):
-            return False
-    return True
-
-
-def _strongly_connected(succ, comp) -> bool:
-    comp_set = set(comp)
-
-    def reach(start, edges_of):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in edges_of(v):
-                if w in comp_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    root = comp[0]
-    if reach(root, lambda v: succ[v]) != comp_set:
-        return False
-    pred = {v: [] for v in comp}
-    for v in comp:
-        for w in succ[v]:
-            if w in comp_set:
-                pred[w].append(v)
-    return reach(root, lambda v: pred[v]) == comp_set
+    return not _cross_edges(graph, orientation_ends(graph, orientation))
 
 
 def find_stable_orientation(graph: DualGraph):
@@ -356,22 +389,12 @@ def find_stable_orientation(graph: DualGraph):
 
 def destabilizing_nodes(graph: DualGraph, d) -> tuple[int, ...]:
     """Non-loop edges in the cut of some connected subcurve with
-    ``d_Z = p_a(Z) - 1``; empty exactly when ``d`` is stable."""
-    if not is_semistable(graph, d):
-        raise ValueError("multidegree is not semistable")
-    out = set()
-    for sub in _equality_subcurves(graph, d):
-        out.update(graph.cut_edges(sub))
-    return tuple(sorted(out))
+    ``d_Z = p_a(Z) - 1``; empty exactly when ``d`` is stable.
 
-
-def _equality_subcurves(graph: DualGraph, d):
-    n = graph.num_vertices
-    for sub in connected_subsets(_core(graph)):
-        if len(sub) == n:
-            continue
-        if sum(d[v] for v in sub) == graph.arithmetic_genus(sub) - 1:
-            yield sub
+    These are the edges between distinct strong components of any
+    realizing orientation.
+    """
+    return stabilize(graph, d).destabilizing_set
 
 
 @dataclass(frozen=True)
@@ -382,8 +405,8 @@ class StabilizationResult:
     (same vertex set); ``ending_halves`` records, per removed edge, the
     half-edge where one unit of degree was subtracted.  ``degree_unique``
     reports whether every admissible witness orientation produces the same
-    stable degree (always checkable here because the removed edges'
-    directions are forced).
+    stable degree (always, because every realizing orientation agrees on
+    the directions of the removed edges).
     """
 
     destabilizing_set: tuple[int, ...]
@@ -396,111 +419,27 @@ class StabilizationResult:
 def stabilize(graph: DualGraph, d) -> StabilizationResult:
     """Compute the destabilizing node set and the induced stable multidegree.
 
-    A witness orientation realizes ``d`` while pointing every cut edge of
-    every degree-equality subcurve out of that subcurve; one unit is then
-    subtracted at the ending half-edge of each destabilizing node.  The
-    equality constraints force the direction of every destabilizing edge,
-    so the resulting multidegree does not depend on the witness.
+    A witness orientation realizes ``d``; one unit is subtracted at the
+    ending half-edge of each edge between its strong components.  Those
+    edges are the cut edges of the equality subcurves, and every
+    realizing orientation points them out of their subcurve, so the
+    result does not depend on the witness.
     """
-    if not is_semistable(graph, d):
+    ends = _orient(graph, d)
+    if ends is None:
         raise ValueError("multidegree is not semistable")
-    forced: dict[int, int] = {}  # edge -> orientation value
-    for sub in _equality_subcurves(graph, d):
-        for e in graph.cut_edges(sub):
-            u, _v = graph.edges[e]
-            value = 0 if u in sub else 1  # start inside the subcurve
-            if forced.get(e, value) != value:
-                raise InternalConsistencyError(
-                    f"conflicting forced directions at edge {e}; "
-                    "no orientation satisfies all equality subcurves"
-                )
-            forced[e] = value
-    destab = tuple(sorted(forced))
-
-    witness = _realize_orientation(graph, d, forced)
-    if witness is None:
-        raise InternalConsistencyError(
-            "no orientation realizes the multidegree with the forced directions"
-        )
-
-    ends = orientation_ends(graph, witness)
+    destab = _cross_edges(graph, ends)
+    witness = tuple(0 if end == v else 1 for (_u, v), end in zip(graph.edges, ends))
     stable = list(d)
-    ending_halves = {}
     for e in destab:
         stable[ends[e]] -= 1
-        ending_halves[e] = ending_half_edge(graph, witness, e)
-    stable_degree = tuple(stable)
-
-    normalized = graph.delete_edges(destab)
-    if not is_stable(normalized, stable_degree):
-        raise InternalConsistencyError("stabilized multidegree is not stable")
-    if total(stable_degree) != total(d) - len(destab):
-        raise InternalConsistencyError("stabilized total degree is off")
     return StabilizationResult(
         destabilizing_set=destab,
-        stable_degree=stable_degree,
+        stable_degree=tuple(stable),
         witness_orientation=witness,
-        ending_halves=ending_halves,
+        ending_halves={e: ending_half_edge(graph, witness, e) for e in destab},
         degree_unique=True,
     )
-
-
-def _realize_orientation(graph: DualGraph, d, forced):
-    """First orientation (lexicographic in edge values) with in-degrees
-    matching ``d`` and the given forced edge directions."""
-    n = graph.num_vertices
-    need = [d[v] - graph.genera[v] + 1 - graph.loops_at(v) for v in range(n)]
-    if any(x < 0 for x in need):
-        return None
-    nonloop = [e for e in range(graph.num_edges) if not graph.is_loop(e)]
-    if len(nonloop) > MAX_SUBSET_EDGES:
-        raise GraphTooLargeError(
-            f"{len(nonloop)} non-loop edges exceed the orientation search cap"
-        )
-    orientation = [0] * graph.num_edges
-    remaining_at = [0] * n  # undecided non-loop half-edge capacity per vertex
-    free = []
-    for e in nonloop:
-        if e in forced:
-            orientation[e] = forced[e]
-            u, v = graph.edges[e]
-            end = v if forced[e] == 0 else u
-            need[end] -= 1
-            if need[end] < 0:
-                return None
-        else:
-            free.append(e)
-            u, v = graph.edges[e]
-            remaining_at[u] += 1
-            remaining_at[v] += 1
-
-    def feasible():
-        return all(0 <= need[v] <= remaining_at[v] for v in range(n))
-
-    if not feasible():
-        return None
-
-    def rec(i):
-        if i == len(free):
-            return all(x == 0 for x in need)
-        e = free[i]
-        u, v = graph.edges[e]
-        remaining_at[u] -= 1
-        remaining_at[v] -= 1
-        for value, end in ((0, v), (1, u)):
-            if need[end] > 0:
-                need[end] -= 1
-                orientation[e] = value
-                if feasible() and rec(i + 1):
-                    return True
-                need[end] += 1
-        remaining_at[u] += 1
-        remaining_at[v] += 1
-        return False
-
-    if not rec(0):
-        return None
-    return tuple(orientation)
 
 
 # -- numerics -----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared brute-force oracles and small builders for the test suite.
 
 The oracles here deliberately avoid the library's algorithms: component
-counts by path search, bridges by per-edge removal, stability of degrees
-and of orientations by scanning every subset (not only connected ones),
+counts by path search and bridges by per-edge removal (shared with the
+``selfcheck`` battery), stability of degrees and of orientations and the
+destabilizing nodes by scanning every subset (not only connected ones),
 matrix rank by minor expansion.
 Expected values frozen in the tests were computed with these.
 """
@@ -16,35 +17,7 @@ import pytest
 
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.graph_curve import INFINITY, GraphCurve
-
-
-def brute_component_count(graph: DualGraph) -> int:
-    seen = set()
-    count = 0
-    for start in range(graph.num_vertices):
-        if start in seen:
-            continue
-        count += 1
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for a, b in graph.edges:
-                if a == v and b not in seen:
-                    frontier.append(b)
-                elif b == v and a not in seen:
-                    frontier.append(a)
-    return count
-
-
-def brute_bridges(graph: DualGraph) -> tuple:
-    base = brute_component_count(graph)
-    return tuple(
-        e for e in range(graph.num_edges)
-        if brute_component_count(graph.delete_edges({e})) > base
-    )
+from nodaltheta.selfcheck import brute_bridges, brute_component_count  # noqa: F401
 
 
 def brute_is_semistable(graph: DualGraph, d) -> bool:
@@ -76,6 +49,24 @@ def brute_is_stable(graph: DualGraph, d) -> bool:
             if sum(d[v] for v in sub) < graph.arithmetic_genus(sub):
                 return False
     return True
+
+
+def brute_destabilizing_nodes(graph: DualGraph, d) -> dict:
+    """The cut edges of every subset ``Z`` with ``d_Z = p_a(Z) - 1``, each
+    mapped to its ending half-edge when it points out of ``Z`` (side 2
+    when ``Z`` holds its first vertex).  Every subset is scanned; a
+    disconnected equality subset splits into connected ones."""
+    out = {}
+    n = graph.num_vertices
+    for bits in range(1, (1 << n) - 1):
+        sub = frozenset(v for v in range(n) if bits >> v & 1)
+        if sum(d[v] for v in sub) != graph.arithmetic_genus(sub) - 1:
+            continue
+        for e, (u, v) in enumerate(graph.edges):
+            if (u in sub) != (v in sub):
+                half = (e, 2 if u in sub else 1)
+                assert out.setdefault(e, half) == half, "conflicting directions"
+    return out
 
 
 def brute_is_stable_orientation(graph: DualGraph, orientation) -> bool:

@@ -89,6 +89,17 @@ class TestCommands:
         assert report["results"]["stable_degree"] == [0, 1]
         assert report["results"]["destabilizing_nodes"] == [0]
 
+    def test_stabilize_beyond_subset_cap(self, capsys, tmp_path):
+        # a doubled 16-cycle: more vertices than any subcurve scan accepts
+        edges = [sorted((i, (i + 1) % 16)) for i in range(16) for _ in (0, 1)]
+        path = tmp_path / "cycle16.json"
+        path.write_text(json.dumps({"vertices": [{"genus": 0}] * 16, "edges": edges}))
+        degree = ",".join(map(str, (-1, 2) + (1,) * 13 + (2,)))
+        code, report = run_json(capsys, ["stabilize", str(path), f"--degree={degree}"])
+        assert code == 0
+        assert report["results"]["destabilizing_nodes"] == [0, 1, 30, 31]
+        assert report["results"]["stable_degree"] == [-1, 0] + [1] * 13 + [0]
+
     def test_strata_table_and_counts(self, capsys, theta_spec):
         code = run(["strata", theta_spec])
         out = capsys.readouterr().out
@@ -243,6 +254,19 @@ class TestErrors:
         # a non-semistable multidegree is a domain error, not usage
         assert run(["stabilize", theta_spec, "--degree=-2,3"]) == 1
         assert "not semistable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["stabilize", "SPEC", "--degree", "0"], "--degree: need 2 entries in vertex order"),
+        (["stabilize", "SPEC", "--degree", "0,x"], "--degree: need comma-separated integers"),
+        (["h0", "SPEC", "--degrees", "0", "--gluing", "1,1,1"],
+         "--degrees: need 2 entries in vertex order"),
+        (["wcount", "SPEC", "--degrees", "0,1,2"], "--degrees: need 2 entries in vertex order"),
+        (["wcount", "SPEC", "--degrees", "a"], "--degrees: need comma-separated integers"),
+    ])
+    def test_degree_flag_field_path(self, capsys, theta_spec, argv, message):
+        argv = [theta_spec if a == "SPEC" else a for a in argv]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"spec error: {message}\n"
 
     def test_budget_refusal(self, capsys, theta_spec, monkeypatch):
         monkeypatch.setenv("THETA_STRATA_BUDGET", "5")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     brute_box_scan,
+    brute_destabilizing_nodes,
     brute_is_semistable,
     brute_is_stable,
     brute_is_stable_orientation,
@@ -50,6 +51,14 @@ class TestIsSemistable:
         graph = theta_graph()
         assert is_semistable(graph, (1, 1)) is False
 
+    @pytest.mark.parametrize("d", [(1, 1), (0, 0), (-1, 1)])
+    def test_total_off_either_way(self, d):
+        graph = theta_graph()
+        assert is_semistable(graph, d) is False
+        assert is_stable(graph, d) is False
+        with pytest.raises(ValueError, match="not semistable"):
+            stabilize(graph, d)
+
     def test_matches_all_subset_oracle(self):
         for graph in connected_multigraphs(3, 4):
             for dec in genus_decorations(graph, 1):
@@ -93,6 +102,78 @@ class TestIsStable:
                     if sum(d) != g1:
                         continue
                     assert is_stable(dec, d) == brute_is_stable(dec, d)
+
+
+class TestPredicatesOnDisjointUnions:
+    def test_match_all_subset_oracle(self):
+        rng = random.Random(20071031)
+        family = [dec for graph in connected_multigraphs(3, 3)
+                  for dec in genus_decorations(graph, 1)]
+        for _ in range(60):
+            union = disjoint_union(*rng.sample(family, rng.choice((2, 2, 3))))
+            g1 = union.arithmetic_genus() - 1
+            box = degree_box(union)
+            for d in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+                if sum(d) != g1:
+                    continue
+                assert is_semistable(union, d) == brute_is_semistable(union, d)
+                assert is_stable(union, d) == brute_is_stable(union, d)
+
+
+def doubled_cycle(n):
+    pairs = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+    return DualGraph((0,) * n, tuple(p for p in pairs for _ in (0, 1)))
+
+
+def seeded_large_graph(seed=40, n=40, chords=39):
+    """A Hamiltonian cycle plus seeded chords and loops: bridgeless,
+    far beyond the subset cap."""
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(chords)]
+    genera = tuple(rng.randrange(3) for _ in range(n))
+    return DualGraph(genera, tuple(edges))
+
+
+class TestPredicatesBeyondSubsetCap:
+    """The orientation core has no size cap: these graphs have 16 and 40
+    vertices, where a subcurve scan would refuse."""
+
+    @pytest.mark.parametrize("graph", [doubled_cycle(16), seeded_large_graph()],
+                             ids=["doubled-16-cycle", "seeded-40-vertices"])
+    def test_random_orientations(self, graph):
+        rng = random.Random(16)
+        for _ in range(30):
+            orientation = tuple(rng.randrange(2) for _ in range(graph.num_edges))
+            d = multidegree_of_orientation(graph, orientation)
+            assert is_semistable(graph, d)
+            result = stabilize(graph, d)
+            assert multidegree_of_orientation(graph, result.witness_orientation) == d
+            normalized = graph.delete_edges(result.destabilizing_set)
+            assert is_stable(normalized, result.stable_degree)
+            assert bool(result.destabilizing_set) != is_stable(graph, d)
+            # below the one-vertex bound at vertex 0
+            lo = degree_box(graph)[0][0]
+            below = (lo - 1, d[1] + d[0] - lo + 1) + d[2:]
+            assert not is_semistable(graph, below) and not is_stable(graph, below)
+
+    def test_doubled_cycle_known_classes(self):
+        graph = doubled_cycle(16)
+        assert is_stable(graph, (1,) * 16)
+        # d_0 = p_a({0}) - 1 is the only equality: its four edges destabilize
+        d = (-1, 2) + (1,) * 13 + (2,)
+        assert is_semistable(graph, d) and not is_stable(graph, d)
+        assert destabilizing_nodes(graph, d) == (0, 1, 30, 31)
+        result = stabilize(graph, d)
+        assert result.stable_degree == (-1, 0) + (1,) * 13 + (0,)
+        assert result.ending_halves == {0: (0, 2), 1: (1, 2), 30: (30, 2), 31: (31, 2)}
+
+    @pytest.mark.parametrize("graph", [doubled_cycle(16), seeded_large_graph()],
+                             ids=["doubled-16-cycle", "seeded-40-vertices"])
+    def test_stable_orientation_degree(self, graph):
+        orientation = find_stable_orientation(graph)
+        assert orientation is not None
+        assert is_stable(graph, multidegree_of_orientation(graph, orientation))
 
 
 class TestEnumeration:
@@ -291,12 +372,22 @@ class TestStabilize:
                 for d in enumerate_semistable(dec):
                     result = stabilize(dec, d)
                     normalized = dec.delete_edges(result.destabilizing_set)
-                    assert is_stable(normalized, result.stable_degree)
+                    assert brute_is_stable(normalized, result.stable_degree)
                     assert (sum(result.stable_degree)
                             == sum(d) - len(result.destabilizing_set))
                     realized = multidegree_of_orientation(
                         dec, result.witness_orientation)
                     assert realized == d
+
+    def test_matches_equality_subcurve_oracle(self):
+        for graph in connected_multigraphs(3, 5):
+            for dec in genus_decorations(graph, 1):
+                for d in enumerate_semistable(dec):
+                    brute = brute_destabilizing_nodes(dec, d)
+                    result = stabilize(dec, d)
+                    assert result.destabilizing_set == tuple(sorted(brute))
+                    assert result.ending_halves == brute
+                    assert destabilizing_nodes(dec, d) == result.destabilizing_set
 
 
 class TestBrillNoether:
