@@ -125,14 +125,13 @@ def doubled_cycle(n):
     return DualGraph((0,) * n, tuple(p for p in pairs for _ in (0, 1)))
 
 
-def seeded_large_graph(seed=40, n=40, chords=39):
-    """A Hamiltonian cycle plus seeded chords and loops: bridgeless,
+def seeded_large_graph():
+    """A 40-cycle plus 39 seeded chords, with seeded genera: bridgeless,
     far beyond the subset cap."""
-    rng = random.Random(seed)
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(chords)]
-    genera = tuple(rng.randrange(3) for _ in range(n))
-    return DualGraph(genera, tuple(edges))
+    rng = random.Random(40)
+    edges = [(i, (i + 1) % 40) for i in range(40)]
+    edges += [(rng.randrange(40), rng.randrange(40)) for _ in range(39)]
+    return DualGraph(tuple(rng.randrange(3) for _ in range(40)), tuple(edges))
 
 
 class TestPredicatesBeyondSubsetCap:
@@ -248,8 +247,7 @@ class TestEnumerationOracles:
             assert enumerate_stable(union) == brute_box_scan(union, brute_is_stable)
 
     def test_doubled_eight_cycle_counts(self):
-        pairs = [tuple(sorted((i, (i + 1) % 8))) for i in range(8)]
-        graph = DualGraph((0,) * 8, tuple(p for p in pairs for _ in (0, 1)))
+        graph = doubled_cycle(8)
         assert len(enumerate_semistable(graph)) == 6305
         assert len(enumerate_stable(graph)) == 255
 
