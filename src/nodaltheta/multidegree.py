@@ -342,8 +342,7 @@ def find_stable_orientation(graph: DualGraph):
 
     Depth-first search orienting tree edges away from the root and every
     other edge toward the earlier-discovered endpoint; on a bridgeless
-    component this is strongly connected.  The result is validated before
-    being returned.
+    component this is strongly connected (Robbins 1939).
     """
     if graph.bridges():
         return None
@@ -379,10 +378,7 @@ def find_stable_orientation(graph: DualGraph):
                 orient(e, v if disc[v] > disc[w] else w)
             if not advanced:
                 stack.pop()
-    result = tuple(orientation)
-    if not is_stable_orientation(graph, result):
-        raise InternalConsistencyError("DFS orientation of a bridgeless graph not stable")
-    return result
+    return tuple(orientation)
 
 
 # -- destabilizing nodes and stabilization ------------------------------

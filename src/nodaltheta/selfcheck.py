@@ -160,17 +160,21 @@ def _check_definition_equivalence(fast):
 
 
 def _check_single_predicates(fast, rng):
-    # spot-check the scalar predicates against the enumerations
+    # the scalar predicates against the enumerations on every decorated
+    # graph of the small family, plus a 5% sample of the larger one in full
+    # mode, over the degree box widened by one on each side
+    family = _definition_equivalence_family(True)
+    if not fast:
+        sample = (x for x in _definition_equivalence_family(False) if rng.random() < 0.05)
+        family = itertools.chain(family, sample)
     checked = 0
-    for dec, all_d, stable_d in _definition_equivalence_family(fast):
-        if rng.random() > 0.05:
-            continue
+    for dec, all_d, stable_d in family:
         genera = dec.genera
         ss = {translate(d, genera) for d in all_d}
         stable = {translate(d, genera) for d in stable_d}
         box = md.degree_box(dec)
         g1 = dec.arithmetic_genus() - 1
-        for d in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        for d in itertools.product(*(range(lo - 1, hi + 2) for lo, hi in box)):
             if sum(d) != g1:
                 continue
             if md.is_semistable(dec, d) != (d in ss):
@@ -178,7 +182,7 @@ def _check_single_predicates(fast, rng):
             if md.is_stable(dec, d) != (d in stable):
                 return False, f"is_stable disagrees at {d} on {dec}"
             checked += 1
-    return True, f"{checked} box points"
+    return True, f"{checked} widened-box points"
 
 
 def _check_bridge_dichotomy(fast):
@@ -261,12 +265,15 @@ def _check_theta_bookkeeping(fast):
     checked = 0
     for g in connected_multigraphs(3, 5):
         for dec in genus_decorations(g, 1):
-            strata, summary = st.theta_strata(dec)
+            _, summary = st.theta_strata(dec)
             bridges = dec.delete_edges(dec.bridges())
             b = len(md.enumerate_stable(bridges))
             c = len(bridges.connected_components())
             if summary.component_count != c * b:
                 return False, f"component count off on {dec}"
+            # the predicate skips the strata; the summary is built from them
+            if st.is_theta_irreducible(dec) != (summary.pieces == summary.stable_classes == 1):
+                return False, f"theta predicate vs strata summary on {dec}"
             g_total = dec.arithmetic_genus()
             for s in st.enumerate_picard_strata(dec):
                 normalized = dec.delete_edges(s.nodes)

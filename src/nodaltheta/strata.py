@@ -13,6 +13,7 @@ the implemented conditions are necessary, not known to be sufficient.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, asdict
 
@@ -48,16 +49,23 @@ class ThetaSummary:
 
 
 def _edge_subsets(graph: DualGraph):
+    """Every node subset, in (size, lexicographic) order."""
     if graph.num_edges > MAX_SUBSET_EDGES:
         raise GraphTooLargeError(
             f"{graph.num_edges} edges exceed the edge-subset cap of {MAX_SUBSET_EDGES}"
         )
     n = graph.num_edges
-    subsets = []
-    for bits in range(1 << n):
-        subsets.append(tuple(e for e in range(n) if bits >> e & 1))
-    subsets.sort(key=lambda s: (len(s), s))
-    return subsets
+    return (s for k in range(n + 1) for s in itertools.combinations(range(n), k))
+
+
+def _stable_normalizations(graph: DualGraph):
+    """Each node subset ``S`` whose normalization has a stable multidegree,
+    normalized once: ``(S, normalization, its components, stable classes)``."""
+    for s in _edge_subsets(graph):
+        normalized = graph.delete_edges(s)
+        degrees = enumerate_stable(normalized)
+        if degrees:
+            yield s, normalized, normalized.connected_components(), degrees
 
 
 def enumerate_picard_strata(graph: DualGraph) -> list[Stratum]:
@@ -68,14 +76,9 @@ def enumerate_picard_strata(graph: DualGraph) -> list[Stratum]:
     """
     g = graph.arithmetic_genus()
     out = []
-    for s in _edge_subsets(graph):
-        normalized = graph.delete_edges(s)
-        degrees = enumerate_stable(normalized)
-        if not degrees:
-            continue
-        dim = g - len(s) + len(normalized.connected_components()) - 1
-        for d in degrees:
-            out.append(Stratum(nodes=s, degree=d, dim=dim, kind="picard"))
+    for s, _, comps, degrees in _stable_normalizations(graph):
+        dim = g - len(s) + len(comps) - 1
+        out += (Stratum(nodes=s, degree=d, dim=dim, kind="picard") for d in degrees)
     return out
 
 
@@ -130,32 +133,23 @@ def closure_candidate(graph: DualGraph, s1: Stratum, s2: Stratum) -> bool:
     return all(drop[v] <= branches[v] for v in range(n))
 
 
-def _theta_dim(normalized: DualGraph) -> int:
-    """Dimension of the effective locus of a stable multidegree on the
-    normalization: sum of per-component arithmetic genera minus one, or
-    -1 when every component has genus 0 (empty locus)."""
-    comps = normalized.connected_components()
-    genera = [normalized.arithmetic_genus(c) for c in comps]
-    if all(g == 0 for g in genera):
-        return -1
-    return sum(genera) - 1
-
-
 def theta_strata(graph: DualGraph) -> tuple[list[Stratum], ThetaSummary]:
     """Theta strata (same index set as the Picard strata) plus the
-    component-count summary."""
-    out = []
-    for s in enumerate_picard_strata(graph):
-        normalized = graph.delete_edges(s.nodes)
-        out.append(
-            Stratum(nodes=s.nodes, degree=s.degree, dim=_theta_dim(normalized),
-                    kind="theta")
-        )
+    component-count summary.  A stratum's dimension is that of the
+    effective locus on its normalization: the sum of the component genera
+    minus one, or -1 when every component has genus 0 (empty locus)."""
     bridges = graph.bridges()
+    out = []
+    stable_classes = 0
+    for s, normalized, comps, degrees in _stable_normalizations(graph):
+        genera = [normalized.arithmetic_genus(c) for c in comps]
+        dim = -1 if all(g == 0 for g in genera) else sum(genera) - 1
+        out += (Stratum(nodes=s, degree=d, dim=dim, kind="theta") for d in degrees)
+        if s == bridges:
+            stable_classes = len(degrees)
     pieces_graph = graph.delete_edges(bridges)
     comps = pieces_graph.connected_components()
     pieces = len(comps)
-    stable_classes = sum(1 for s in out if s.nodes == bridges)
     positive = sum(1 for c in comps if pieces_graph.arithmetic_genus(c) >= 1)
     return out, ThetaSummary(
         pieces=pieces,
@@ -196,10 +190,14 @@ def picard_valency_criterion(graph: DualGraph) -> bool:
 
 
 def is_theta_irreducible(graph: DualGraph) -> bool:
-    """Whether the theta divisor is irreducible: no separating nodes and a
-    single stable class (so exactly one component of dimension g - 1)."""
-    _, summary = theta_strata(graph)
-    return summary.pieces == 1 and summary.stable_classes == 1
+    """Whether the theta divisor is irreducible: the normalization at the
+    separating nodes is one connected piece with a single stable class, so
+    exactly one component of dimension g - 1 (``pieces == stable_classes
+    == 1`` in :func:`theta_strata`).  Decided without building strata, so
+    no edge-subset cap applies.  Being bridgeless and Picard irreducible is
+    not enough: two disjoint bananas have two pieces."""
+    tilde = graph.delete_edges(graph.bridges())
+    return len(tilde.connected_components()) == 1 and len(enumerate_stable(tilde)) == 1
 
 
 def theta_valency_criterion(graph: DualGraph) -> bool:

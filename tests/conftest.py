@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's algorithms: component
 counts by path search and bridges by per-edge removal (shared with the
 ``selfcheck`` battery), stability of degrees and of orientations and the
 destabilizing nodes by scanning every subset (not only connected ones),
-matrix rank by minor expansion.
+matrix rank by minor expansion, theta stratum dimensions by normalizing
+once per stratum.
 Expected values frozen in the tests were computed with these.
 """
 
@@ -100,6 +101,17 @@ def brute_box_scan(graph: DualGraph, predicate) -> list:
         lo = graph.genera[v] + loops - 1
         ranges.append(range(lo, lo + graph.valency(v) + 1))
     return [d for d in itertools.product(*ranges) if sum(d) == g1 and predicate(graph, d)]
+
+
+def per_stratum_theta_dim(graph: DualGraph, nodes) -> int:
+    """Theta stratum dimension recomputed from scratch for one stratum:
+    normalize at ``nodes``, then the sum of the component genera minus
+    one, or -1 when every component has genus 0 (empty effective locus)."""
+    normalized = graph.delete_edges(nodes)
+    genera = [normalized.arithmetic_genus(c) for c in normalized.connected_components()]
+    if all(g == 0 for g in genera):
+        return -1
+    return sum(genera) - 1
 
 
 def disjoint_union(*graphs: DualGraph) -> DualGraph:

@@ -124,6 +124,16 @@ class TestCommands:
             "picard_irreducible": False, "theta_irreducible": False,
         }
 
+    def test_irreducible_beyond_edge_subset_cap(self, capsys, tmp_path):
+        # 21 nodes between two rational components: past the strata cap
+        path = tmp_path / "banana21.json"
+        path.write_text(json.dumps({"vertices": [{"genus": 0}] * 2, "edges": [[0, 1]] * 21}))
+        code, report = run_json(capsys, ["irreducible", str(path)])
+        assert code == 0
+        assert report["results"] == {
+            "picard_irreducible": False, "theta_irreducible": False,
+        }
+
     def test_h0(self, capsys, theta_spec):
         code, report = run_json(
             capsys, ["h0", theta_spec, "--degrees", "0,0", "--gluing", "1,1,1"])

@@ -1,10 +1,12 @@
 import itertools
 import json
+import random
 from math import comb
 
 import pytest
 
-from nodaltheta.dual_graph import DualGraph
+from conftest import disjoint_union, per_stratum_theta_dim
+from nodaltheta.dual_graph import MAX_SUBSET_EDGES, DualGraph, GraphTooLargeError
 from nodaltheta.families import (
     connected_multigraphs,
     genus_decorations,
@@ -29,6 +31,17 @@ from nodaltheta.strata import (
 
 def theta_graph(g1=0, g2=0, delta=3):
     return DualGraph((g1, g2), tuple((0, 1) for _ in range(delta)))
+
+
+def theta_family():
+    """Every decorated connected multigraph with at most 3 vertices, 5 edges
+    and genus 1, plus seeded disjoint unions of the smaller ones."""
+    family = [dec for graph in connected_multigraphs(3, 5)
+              for dec in genus_decorations(graph, 1)]
+    small = [dec for dec in family if dec.num_edges <= 3]
+    rng = random.Random(20071101)
+    unions = [disjoint_union(*rng.sample(small, rng.choice((2, 2, 3)))) for _ in range(60)]
+    return family + unions
 
 
 class TestPicardStrata:
@@ -178,6 +191,20 @@ class TestThetaStrata:
             [(s.nodes, s.degree) for s in theta]
         assert all(s.kind == "theta" for s in theta)
 
+    def test_dims_match_per_stratum_normalization(self):
+        for graph in theta_family():
+            strata, _ = theta_strata(graph)
+            for s in strata:
+                assert s.dim == per_stratum_theta_dim(graph, s.nodes)
+
+    def test_edge_subset_cap_still_applies(self):
+        # the output has up to 2^|E| strata, so the cap stays
+        rose = DualGraph((0,), ((0, 0),) * (MAX_SUBSET_EDGES + 1))
+        with pytest.raises(GraphTooLargeError):
+            theta_strata(rose)
+        with pytest.raises(GraphTooLargeError):
+            theta_strata(theta_graph(delta=MAX_SUBSET_EDGES + 1))
+
     def test_empty_effective_locus_dim(self):
         # normalizing a 2-cycle of rational curves at both nodes leaves two
         # projective lines with degree -1 each: no sections, dimension -1
@@ -199,13 +226,30 @@ class TestIrreducibility:
         assert is_theta_irreducible(DualGraph((0, 0), ((0, 1), (0, 1)))) is True
 
     def test_matches_direct_counting_on_family(self):
-        for graph in connected_multigraphs(3, 5):
-            for dec in genus_decorations(graph, 1):
-                tilde = dec.delete_edges(dec.bridges())
-                b = len(enumerate_stable(tilde))
-                c = len(tilde.connected_components())
-                assert is_picard_irreducible(dec) == (b == 1)
-                assert is_theta_irreducible(dec) == (c == 1 and b == 1)
+        for graph in theta_family():
+            tilde = graph.delete_edges(graph.bridges())
+            b = len(enumerate_stable(tilde))
+            c = len(tilde.connected_components())
+            assert is_picard_irreducible(graph) == (b == 1)
+            assert is_theta_irreducible(graph) == (c == 1 and b == 1)
+            # the predicate builds no strata; the summary is read from them
+            _, summary = theta_strata(graph)
+            assert is_theta_irreducible(graph) == (summary.pieces == summary.stable_classes == 1)
+
+    @pytest.mark.parametrize("graph", [
+        # bridgeless with one stable class, but two pieces
+        disjoint_union(theta_graph(delta=2), theta_graph(delta=2)),
+        DualGraph((1, 1), ()),
+    ], ids=["two-disjoint-bananas", "two-edgeless-genus-1"])
+    def test_disconnected_not_theta_irreducible(self, graph):
+        assert not graph.bridges()
+        assert is_picard_irreducible(graph) is True
+        assert is_theta_irreducible(graph) is False
+
+    def test_theta_beyond_edge_subset_cap(self):
+        rose = DualGraph((0,), ((0, 0),) * (MAX_SUBSET_EDGES + 1))
+        assert is_theta_irreducible(rose) is True
+        assert is_theta_irreducible(theta_graph(delta=MAX_SUBSET_EDGES + 1)) is False
 
     def test_valency_criteria_sufficient(self):
         for graph in connected_multigraphs(3, 5):
