@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .dual_graph import DualGraph, GraphTooLargeError, half_edge_vertex  # noqa: F401
 from .multidegree import (  # noqa: F401
-    InternalConsistencyError,
     StabilizationResult,
     brill_noether_number,
     destabilizing_nodes,

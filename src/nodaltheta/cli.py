@@ -29,10 +29,9 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .dual_graph import DualGraph, GraphTooLargeError
+from .dual_graph import DualGraph
 from .modp import is_prime
 from .multidegree import (
-    InternalConsistencyError,
     enumerate_semistable,
     enumerate_stable,
     find_stable_orientation,
@@ -534,7 +533,7 @@ def run(argv=None) -> int:
     except gc.BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 1
-    except (GraphTooLargeError, InternalConsistencyError, ValueError) as exc:
+    except ValueError as exc:  # GraphTooLargeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

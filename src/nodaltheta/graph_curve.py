@@ -772,9 +772,10 @@ class NodeCaseReport:
     """Exact case analysis of the gluing fiber over one node.
 
     ``h0_base`` is h^0 on the curve with the node separated; the three
-    twists drop one or both branch points.  The case tag determines, and
-    the exhaustive scan over the node's scalar confirms, the h^0 value of
-    every gluing and the shape of the locus with h^0 >= r + 1.
+    twists drop one or both branch points.  The case tag determines the
+    h^0 value of every gluing and the shape of the locus with
+    h^0 >= r + 1; ``scan_histogram`` is that distribution of h^0 over the
+    p - 1 scalars, as (h^0, count) pairs with zero counts dropped.
     """
 
     case: str
@@ -792,15 +793,15 @@ class NodeCaseReport:
 
 def classify_one_node(curve: GraphCurve, edge: int, bundle: GluedLineBundle,
                       r: int = 0) -> NodeCaseReport:
-    """Classify the bundles over one node by branch-point drops, then
-    verify the prediction against the exhaustive scalar scan.
+    """Classify the bundles over one node by branch-point drops.
 
     The bundle's scalar at ``edge`` is ignored; all other scalars are
-    fixed.  Raises if the scan contradicts the classification (that would
-    be a bug, not a data error).
+    fixed.  Only linked branches have a special gluing: there the
+    evaluations at q1 and q2 of the separated curve's sections are
+    nonzero with one kernel, so the gluing row ``row2 - c*row1`` kills
+    every section exactly at c* = phi2(s)/phi1(s) for any s with
+    phi1(s) != 0.  The exhaustive scalar scan is the checks' oracle.
     """
-    from .multidegree import InternalConsistencyError
-
     p = curve.prime
     _check_bundle(curve, bundle, skip={edge})
     separated = delete_edges(curve, {edge})
@@ -813,6 +814,7 @@ def classify_one_node(curve: GraphCurve, edge: int, bundle: GluedLineBundle,
     b2 = h0(separated, restricted, vanishing=[(v, q2, 1)])
     ab = h0(separated, restricted, vanishing=[(u, q1, 1), (v, q2, 1)])
 
+    special_c = None
     if a == 0:
         case, generic, special = "no_sections", 0, None
     elif b1 != b2:
@@ -823,26 +825,16 @@ def classify_one_node(curve: GraphCurve, edge: int, bundle: GluedLineBundle,
         case, generic, special = "independent_branches", a - 1, None
     else:
         case, generic, special = "linked_branches", a - 1, a
+        for sec in section_space(separated, restricted).basis:
+            phi1 = evaluate_form(sec[u], q1, p)
+            if phi1:
+                special_c = evaluate_form(sec[v], q2, p) * inverse(phi1, p) % p
+                break
 
-    # exhaustive scan over the node's gluing scalar
-    histogram: dict[int, int] = {}
-    special_c = None
-    gluing = list(bundle.gluing)
-    for c in range(1, p):
-        gluing[edge] = c
-        val = h0(curve, GluedLineBundle(bundle.degrees, tuple(gluing)))
-        histogram[val] = histogram.get(val, 0) + 1
-        if special is not None and val == special:
-            special_c = c
-
-    predicted = {generic: p - 1}
-    if special is not None:
-        predicted = {generic: p - 2, special: 1}
-        predicted = {k: n for k, n in predicted.items() if n > 0}
-    if histogram != predicted:
-        raise InternalConsistencyError(
-            f"one-node case {case}: scan histogram {histogram} != predicted {predicted}"
-        )
+    if special is None:
+        histogram = ((generic, p - 1),)
+    else:  # generic = special - 1 sorts first; at p = 2 no scalar is generic
+        histogram = tuple((h, n) for h, n in ((generic, p - 2), (special, 1)) if n)
 
     top = special if special is not None else generic
     if top >= r + 1 and generic >= r + 1:
@@ -854,8 +846,7 @@ def classify_one_node(curve: GraphCurve, edge: int, bundle: GluedLineBundle,
     return NodeCaseReport(
         case=case, r=r, h0_base=a, h0_minus_q1=b1, h0_minus_q2=b2,
         h0_minus_both=ab, generic_h0=generic, special_h0=special,
-        special_gluing=special_c, locus=locus,
-        scan_histogram=tuple(sorted(histogram.items())),
+        special_gluing=special_c, locus=locus, scan_histogram=histogram,
     )
 
 

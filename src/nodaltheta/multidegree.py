@@ -24,15 +24,16 @@ Shifting by ``genus(v) + loops(v) - 1`` leaves ``b_v``, the non-loop
 ending half-edges, and the inequalities become ``|E(Z)| <= b_Z <= #edges
 touching Z`` over the loopless core (non-loop edges only), with total
 ``b_V = #non-loop edges``; stability adds 1 to the lower and takes 1
-from the upper bound on proper subcurves of a connected graph.  The
-search fixes ``b_v`` in vertex order, each connected subcurve bounding
-the vertex that is its highest; for semistability these are the bounds
-of the projection of a base polyhedron onto the assigned prefix, so the
-search never backs out of a dead end, and its output is lexicographic
-as generated.  It scans connected subcurves, so it keeps the subset
-cap.  The agreement of enumeration and predicates, and of both with
-exhaustive orientation enumeration on small graph families, is one of
-the package's main self-checks.
+from the upper bound on every subcurve with a cut edge, the proper
+subcurves of each component, so one search also covers disconnected
+graphs.  The search fixes ``b_v`` in vertex order, each connected
+subcurve bounding the vertex that is its highest; for semistability
+these are the bounds of the projection of a base polyhedron onto the
+assigned prefix, so the search never backs out of a dead end, and its
+output is lexicographic as generated.  It scans connected subcurves, so
+it keeps the subset cap.  The agreement of enumeration and predicates,
+and of both with exhaustive orientation enumeration on small graph
+families, is one of the package's main self-checks.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ from .dual_graph import DualGraph, connected_subsets
 Multidegree = tuple  # tuple[int, ...], one entry per vertex
 Orientation = tuple  # tuple[int, ...], one entry per edge: 0 keeps side 1
 #                      as the starting half-edge, 1 swaps the two sides
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two implementations of the same notion disagreed; this is a bug."""
 
 
 def _check_degree(graph: DualGraph, d) -> None:
@@ -212,41 +209,23 @@ def enumerate_semistable(graph: DualGraph) -> list[Multidegree]:
 def enumerate_stable(graph: DualGraph) -> list[Multidegree]:
     """All stable multidegrees, in lexicographic order.
 
-    On a disconnected graph this is the cartesian product of the
-    per-component enumerations, merged back into full-length vectors.
+    On a disconnected graph these are the degrees whose restriction to
+    every component is stable there; one search fixes each component's
+    total, because a whole component has no cut edge and its bounds meet.
     """
-    components = graph.connected_components()
-    if len(components) == 1:
-        return _enumerate(graph, strict=True)
-    per_comp = []
-    for comp in components:
-        sub = DualGraph(
-            tuple(graph.genera[v] for v in comp),
-            tuple(
-                (comp.index(u), comp.index(v))
-                for u, v in (graph.edges[e] for e in graph.induced_edges(comp))
-            ),
-        )
-        per_comp.append((comp, _enumerate(sub, strict=True)))
-    out = []
-    for combo in itertools.product(*(degs for _, degs in per_comp)):
-        full = [0] * graph.num_vertices
-        for (comp, _), dsub in zip(per_comp, combo):
-            for i, v in enumerate(comp):
-                full[v] = dsub[i]
-        out.append(tuple(full))
-    return sorted(out)
+    return _enumerate(graph, strict=True)
 
 
 def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
     """Depth-first search over ``b_v = d_v - genus(v) - loops(v) + 1`` in
-    vertex order; ``strict`` (stability) expects a connected graph.
+    vertex order; ``strict`` (stability) tightens the bounds of every
+    subcurve with a cut edge, so a whole component keeps ``b_Z = |E(Z)|``.
 
     The last vertex takes what is left of the total, unchecked: a
     connected subcurve ``Z`` through it bounds it exactly when the
     complement ``W`` has ``|E(W)| <= b_W <= #edges touching W`` (1 tighter
-    on each side for stability), and the bounds already applied to the
-    components of ``W`` imply that.
+    on each side for stability, where the cut is nonempty), and the
+    bounds already applied to the components of ``W`` imply that.
     """
     n = graph.num_vertices
     shift = [g - 1 for g in graph.genera]
@@ -272,7 +251,8 @@ def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
             if hit:
                 touching += 1
                 inner += hit == em
-        bounds[top].append((tuple(sub - {top}), inner + strict, touching - strict))
+        tight = strict and touching > inner
+        bounds[top].append((tuple(sub - {top}), inner + tight, touching - tight))
     b = [0] * n
     out: list[Multidegree] = []
 

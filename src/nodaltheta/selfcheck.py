@@ -57,6 +57,24 @@ def brute_bridges(graph: DualGraph):
     return tuple(out)
 
 
+def brute_node_scan(curve, edge: int, bundle):
+    """h^0 at every gluing scalar of one node, the others fixed.
+
+    Returns the ascending (h^0, count) histogram and the first scalar
+    whose h^0 exceeds the least value seen, or ``None``; at p = 2 the
+    single scalar has nothing to exceed, so no scalar is reported.
+    """
+    gluing = list(bundle.gluing)
+    values = []
+    for c in range(1, curve.prime):
+        gluing[edge] = c
+        values.append(gc.h0(curve, gc.GluedLineBundle(bundle.degrees, tuple(gluing))))
+    histogram = tuple((val, values.count(val)) for val in sorted(set(values)))
+    low = min(values)
+    above = [c for c, val in enumerate(values, 1) if val > low]
+    return histogram, above[0] if above else None
+
+
 def _random_graph(rng: random.Random, max_v=5, max_e=7) -> DualGraph:
     n = rng.randrange(1, max_v + 1)
     edges = []
@@ -357,8 +375,11 @@ def _check_one_node_cases(rng, attempts=250, prime=13):
         degrees = tuple(rng.randrange(-1, 3) for _ in range(curve.graph.num_vertices))
         gluing = tuple(rng.randrange(1, prime) for _ in range(curve.graph.num_edges))
         bundle = gc.GluedLineBundle(degrees, gluing)
-        # the classifier raises InternalConsistencyError on any scan mismatch
         report = gc.classify_one_node(curve, edge, bundle, r=0)
+        scanned = brute_node_scan(curve, edge, bundle)
+        if (report.scan_histogram, report.special_gluing) != scanned:
+            return False, (f"{report.case}: predicted {report.scan_histogram} with "
+                           f"gluing {report.special_gluing}, scanned {scanned}")
         seen[report.case] = seen.get(report.case, 0) + 1
     if len(seen) < 3:
         return False, f"random search hit too few cases: {sorted(seen)}"

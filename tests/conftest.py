@@ -1,9 +1,10 @@
 """Shared brute-force oracles and small builders for the test suite.
 
 The oracles here deliberately avoid the library's algorithms: component
-counts by path search and bridges by per-edge removal (shared with the
-``selfcheck`` battery), stability of degrees and of orientations and the
-destabilizing nodes by scanning every subset (not only connected ones),
+counts by path search, bridges by per-edge removal and one node's h^0
+at every gluing scalar (shared with the ``selfcheck`` battery),
+stability of degrees and of orientations and the destabilizing nodes
+by scanning every subset (not only connected ones),
 matrix rank by minor expansion, theta stratum dimensions by normalizing
 once per stratum.
 Expected values frozen in the tests were computed with these.
@@ -18,7 +19,11 @@ import pytest
 
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.graph_curve import INFINITY, GraphCurve
-from nodaltheta.selfcheck import brute_bridges, brute_component_count  # noqa: F401
+from nodaltheta.selfcheck import (  # noqa: F401
+    brute_bridges,
+    brute_component_count,
+    brute_node_scan,
+)
 
 
 def brute_is_semistable(graph: DualGraph, d) -> bool:

@@ -23,6 +23,7 @@ import pytest
 
 from conftest import (
     brute_bridges,
+    brute_node_scan,
     cycle_curve,
     random_rational_curve,
     theta_curve,
@@ -329,14 +330,19 @@ def test_criterion_10_unstable_abel_images_have_two_sections():
 
 
 def test_criterion_11_one_node_case_oracle():
-    """The classifier itself re-scans every gluing and raises on any
-    mismatch, so surviving a call verifies the case prediction."""
+    """Every recorded case prediction, the h^0 histogram over the node's
+    scalars and the special gluing, equals an exhaustive scan of h^0 at
+    all p - 1 gluings."""
     p = 13
     rng = random.Random(20260811)
     buckets = {}
 
-    def record(report):
+    def classify(curve, edge, bundle):
+        report = classify_one_node(curve, edge, bundle)
+        scanned = brute_node_scan(curve, edge, bundle)
+        assert (report.scan_histogram, report.special_gluing) == scanned, report
         buckets.setdefault(report.case, []).append(report)
+        return report
 
     def distinct_points(n):
         points = [(a, 1) for a in range(p)] + [INFINITY]
@@ -351,10 +357,10 @@ def test_criterion_11_one_node_case_oracle():
                                       (1, 1): a2, (1, 2): b2})
         du, dv = rng.randrange(0, 3), rng.randrange(0, 3)
         bundle = GluedLineBundle((du, dv), (1, rng.randrange(1, p)))
-        record(classify_one_node(curve, 0, bundle))
+        classify(curve, 0, bundle)
         # degenerate degrees populate the no-section case
         bundle = GluedLineBundle((-1, -1), (1, rng.randrange(1, p)))
-        record(classify_one_node(curve, 0, bundle))
+        classify(curve, 0, bundle)
 
     for _ in range(260):
         # a degree -1 far side makes one branch a base point
@@ -364,7 +370,7 @@ def test_criterion_11_one_node_case_oracle():
                                       (1, 1): a2, (1, 2): a3})
         bundle = GluedLineBundle((rng.randrange(1, 4), -1),
                                  (1, rng.randrange(1, p)))
-        record(classify_one_node(curve, 0, bundle))
+        classify(curve, 0, bundle)
 
     for _ in range(260):
         # hub with two degree -1 tails: both branches are base points
@@ -377,14 +383,14 @@ def test_criterion_11_one_node_case_oracle():
                                       (2, 1): hub[1], (2, 2): tail1[1]})
         bundle = GluedLineBundle((-1, -1, rng.randrange(2, 4)),
                                  (1, 1, rng.randrange(1, p)))
-        record(classify_one_node(curve, 0, bundle))
+        classify(curve, 0, bundle)
 
     for _ in range(260):
         # one loop on a line with degree 0: the unique-special-gluing case
         q1, q2 = distinct_points(2)
         graph = DualGraph((0,), ((0, 0),))
         curve = GraphCurve(graph, p, {(0, 1): q1, (0, 2): q2})
-        record(classify_one_node(curve, 0, GluedLineBundle((0,), (1,))))
+        classify(curve, 0, GluedLineBundle((0,), (1,)))
 
     # linked branches with two sections, found by scanning the side gluings
     hits = 0
@@ -395,9 +401,7 @@ def test_criterion_11_one_node_case_oracle():
                            {(0, 1): a1, (0, 2): b1, (1, 1): a2, (1, 2): b2,
                             (2, 1): a3, (2, 2): b3})
         for c1, c2 in itertools.product(range(1, p), repeat=2):
-            report = classify_one_node(
-                curve, 2, GluedLineBundle((1, 1), (c1, c2, 1)))
-            record(report)
+            report = classify(curve, 2, GluedLineBundle((1, 1), (c1, c2, 1)))
             if report.case == "linked_branches" and report.h0_base >= 2:
                 hits += 1
 

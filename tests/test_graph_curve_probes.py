@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import brute_rank, theta_curve, two_cycle_curve
+from conftest import brute_node_scan, brute_rank, theta_curve, two_cycle_curve
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.graph_curve import (
     INFINITY,
@@ -65,6 +65,36 @@ class TestClassifyOneNode:
         assert report.special_h0 == 1 and report.special_gluing == 1
         assert report.scan_histogram == ((0, 11), (1, 1))
         assert report.locus == "point"
+
+    def test_special_gluing_past_any_scan(self):
+        # p - 1 scalars are far too many to scan, but the special gluing is
+        # read off one section: on the loop it is 1, and on two degree-0
+        # lines joined twice it is the other node's scalar
+        p = 2**31 + 11
+        loop = GraphCurve(DualGraph((0,), ((0, 0),)), p,
+                          {(0, 1): (2, 1), (0, 2): (5, 1)})
+        report = classify_one_node(loop, 0, GluedLineBundle((0,), (1,)))
+        assert report.case == "linked_branches"
+        assert report.special_gluing == 1
+        assert report.scan_histogram == ((0, p - 2), (1, 1))
+        report = classify_one_node(two_cycle_curve(p), 0,
+                                   GluedLineBundle((0, 0), (1, 123456789)))
+        assert report.case == "linked_branches"
+        assert report.special_gluing == 123456789
+        assert report.scan_histogram == ((0, p - 2), (1, 1))
+
+    def test_linked_branches_at_two(self):
+        # F_2 has the single scalar 1, which is the special gluing, so the
+        # generic value has no scalar and drops out of the histogram
+        curve = GraphCurve(DualGraph((0,), ((0, 0),)), 2,
+                           {(0, 1): (0, 1), (0, 2): (1, 1)})
+        bundle = GluedLineBundle((0,), (1,))
+        report = classify_one_node(curve, 0, bundle)
+        assert report.case == "linked_branches"
+        assert (report.generic_h0, report.special_h0) == (0, 1)
+        assert report.special_gluing == 1
+        assert report.scan_histogram == ((1, 1),)
+        assert brute_node_scan(curve, 0, bundle)[0] == report.scan_histogram
 
     def test_linked_branches_with_two_sections(self):
         # theta curve, focus on the last node, degrees (1, 1): the other
