@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .dual_graph import DualGraph

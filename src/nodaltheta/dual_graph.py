@@ -110,13 +110,6 @@ class DualGraph:
         sub = frozenset(vertices)
         return tuple(e for e, (u, v) in enumerate(self.edges) if u in sub and v in sub)
 
-    def cut_edges(self, vertices) -> tuple[int, ...]:
-        """Non-loop edges with exactly one endpoint in ``vertices``."""
-        sub = frozenset(vertices)
-        return tuple(
-            e for e, (u, v) in enumerate(self.edges) if (u in sub) != (v in sub)
-        )
-
     # -- connectivity -------------------------------------------------
 
     def adjacency(self):
@@ -278,31 +271,41 @@ def half_edge_vertex(graph: DualGraph, half_edge: tuple[int, int]) -> int:
 def connected_subsets(graph: DualGraph) -> tuple[frozenset, ...]:
     """All nonempty vertex subsets whose induced subgraph is connected.
 
-    Exhaustive over subsets, so the graph must stay within the vertex cap;
-    there is deliberately no sampling fallback.
+    Exhaustive over the subsets of each connected component, so every
+    component must stay within the vertex cap; there is deliberately no
+    sampling fallback.  The subsets come component by component, each
+    component's in ascending order of their bitmasks.
     """
     n = graph.num_vertices
-    if n > MAX_SUBSET_VERTICES:
-        raise GraphTooLargeError(
-            f"{n} vertices exceed the exhaustive subset cap of {MAX_SUBSET_VERTICES}"
-        )
+    components = graph.connected_components()
+    for comp in components:
+        if len(comp) > MAX_SUBSET_VERTICES:
+            raise GraphTooLargeError(
+                f"{len(comp)} vertices exceed the exhaustive subset cap of {MAX_SUBSET_VERTICES}"
+            )
     nbr = [0] * n  # bitmask of the non-loop neighbours of each vertex
     for u, v in graph.edges:
         if u != v:
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
     out = []
-    for bits in range(1, 1 << n):
-        # grow the closure of the lowest member inside the subset
-        reach = frontier = bits & -bits
-        while frontier:
-            grown = 0
+    for comp in components:
+        mask = sum(1 << v for v in comp)
+        bits = 0
+        while True:
+            bits = (bits - mask) & mask  # the next subset of the component
+            if not bits:
+                break
+            # grow the closure of the lowest member inside the subset
+            reach = frontier = bits & -bits
             while frontier:
-                low = frontier & -frontier
-                grown |= nbr[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grown & bits & ~reach
-            reach |= frontier
-        if reach == bits:
-            out.append(frozenset(v for v in range(n) if bits >> v & 1))
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= nbr[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grown & bits & ~reach
+                reach |= frontier
+            if reach == bits:
+                out.append(frozenset(v for v in comp if bits >> v & 1))
     return tuple(out)

@@ -809,7 +809,8 @@ def classify_one_node(curve: GraphCurve, edge: int, bundle: GluedLineBundle,
     u, v = curve.graph.edges[edge]
     q1 = curve.branch[(edge, 1)]
     q2 = curve.branch[(edge, 2)]
-    a = h0(separated, restricted)
+    sections = section_space(separated, restricted).basis
+    a = len(sections)
     b1 = h0(separated, restricted, vanishing=[(u, q1, 1)])
     b2 = h0(separated, restricted, vanishing=[(v, q2, 1)])
     ab = h0(separated, restricted, vanishing=[(u, q1, 1), (v, q2, 1)])
@@ -825,7 +826,7 @@ def classify_one_node(curve: GraphCurve, edge: int, bundle: GluedLineBundle,
         case, generic, special = "independent_branches", a - 1, None
     else:
         case, generic, special = "linked_branches", a - 1, a
-        for sec in section_space(separated, restricted).basis:
+        for sec in sections:
             phi1 = evaluate_form(sec[u], q1, p)
             if phi1:
                 special_c = evaluate_form(sec[v], q2, p) * inverse(phi1, p) % p

@@ -31,9 +31,10 @@ subcurve bounding the vertex that is its highest; for semistability
 these are the bounds of the projection of a base polyhedron onto the
 assigned prefix, so the search never backs out of a dead end, and its
 output is lexicographic as generated.  It scans connected subcurves, so
-it keeps the subset cap.  The agreement of enumeration and predicates,
-and of both with exhaustive orientation enumeration on small graph
-families, is one of the package's main self-checks.
+it keeps the subset cap, which bounds each connected component.  The
+agreement of enumeration and predicates, and of both with exhaustive
+orientation enumeration on small graph families, is one of the
+package's main self-checks.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from . import dual_graph as dg
 from . import multidegree as md
 from . import strata as st
 from . import graph_curve as gc
@@ -60,9 +59,11 @@ def brute_bridges(graph: DualGraph):
 def brute_node_scan(curve, edge: int, bundle):
     """h^0 at every gluing scalar of one node, the others fixed.
 
-    Returns the ascending (h^0, count) histogram and the first scalar
-    whose h^0 exceeds the least value seen, or ``None``; at p = 2 the
-    single scalar has nothing to exceed, so no scalar is reported.
+    Returns the ascending (h^0, count) histogram and the special scalar,
+    or ``None``: the scalar whose h^0 exceeds that of every other point
+    of the node's line of gluings, the limits c = 0 and c = infinity
+    included, where the gluing row degenerates to vanishing at q2 and at
+    q1.  The limits let the single scalar of p = 2 be judged as well.
     """
     gluing = list(bundle.gluing)
     values = []
@@ -70,9 +71,14 @@ def brute_node_scan(curve, edge: int, bundle):
         gluing[edge] = c
         values.append(gc.h0(curve, gc.GluedLineBundle(bundle.degrees, tuple(gluing))))
     histogram = tuple((val, values.count(val)) for val in sorted(set(values)))
-    low = min(values)
-    above = [c for c, val in enumerate(values, 1) if val > low]
-    return histogram, above[0] if above else None
+    separated = gc.delete_edges(curve, {edge})
+    restricted = gc.restrict_bundle(curve, bundle, {edge})
+    limits = [gc.h0(separated, restricted, vanishing=[(w, curve.branch[(edge, side)], 1)])
+              for side, w in enumerate(curve.graph.edges[edge], 1)]
+    top = max(values)
+    if values.count(top) == 1 and top > max(limits):
+        return histogram, values.index(top) + 1
+    return histogram, None
 
 
 def _random_graph(rng: random.Random, max_v=5, max_e=7) -> DualGraph:
@@ -96,23 +102,17 @@ def _random_curve(rng: random.Random, prime=11, max_v=3, max_e=4):
             continue
         if any(g.valency(v) > prime - 1 for v in range(g.num_vertices)):
             continue
+        # valency <= p - 1 leaves a free point among the p + 1 at every end
         branch = {}
         used = [set() for _ in range(g.num_vertices)]
-        ok = True
         for e, (u, v) in enumerate(g.edges):
             for side, vert in ((1, u), (2, v)):
                 free = [(a, 1) for a in range(prime) if (a, 1) not in used[vert]]
                 free += [gc.INFINITY] if gc.INFINITY not in used[vert] else []
-                if not free:
-                    ok = False
-                    break
                 pt = rng.choice(free)
                 used[vert].add(pt)
                 branch[(e, side)] = pt
-            if not ok:
-                break
-        if ok:
-            return gc.GraphCurve(g, prime, branch)
+        return gc.GraphCurve(g, prime, branch)
 
 
 def _check_genus_identities(rng, n_instances):

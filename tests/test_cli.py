@@ -134,6 +134,17 @@ class TestCommands:
             "picard_irreducible": False, "theta_irreducible": False,
         }
 
+    def test_irreducible_beyond_vertex_subset_cap(self, capsys, tmp_path):
+        # a path of 15 rational curves: its bridges leave 15 single vertices
+        path = tmp_path / "path15.json"
+        path.write_text(json.dumps({"vertices": [{"genus": 0}] * 15,
+                                    "edges": [[i, i + 1] for i in range(14)]}))
+        code, report = run_json(capsys, ["irreducible", str(path)])
+        assert code == 0
+        assert report["results"] == {
+            "picard_irreducible": True, "theta_irreducible": False,
+        }
+
     def test_h0(self, capsys, theta_spec):
         code, report = run_json(
             capsys, ["h0", theta_spec, "--degrees", "0,0", "--gluing", "1,1,1"])

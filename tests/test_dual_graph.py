@@ -228,9 +228,24 @@ class TestConnectedSubsets:
         with pytest.raises(GraphTooLargeError):
             connected_subsets(big)
 
+    def test_cap_counts_each_component(self):
+        cycle = tuple((i, (i + 1) % 8) for i in range(8))
+        two_cycles = DualGraph((0,) * 16, cycle + tuple((u + 8, v + 8) for u, v in cycle))
+        subs = connected_subsets(two_cycles)
+        assert len(subs) == 2 * 57  # 56 arcs and the whole cycle, twice
+        assert all(max(s) < 8 or min(s) >= 8 for s in subs)
+        path_and_point = DualGraph((0,) * 16, tuple((i, i + 1) for i in range(14)))
+        with pytest.raises(GraphTooLargeError):
+            connected_subsets(path_and_point)
+
     def test_matches_brute_force(self):
-        for graph in connected_multigraphs(3, 3):
+        # the disconnected graphs interleave their components
+        disconnected = [DualGraph((0,) * 4, ((0, 2), (1, 3))),
+                        DualGraph((0,) * 5, ((0, 2), (2, 4), (4, 0), (1, 1), (3, 3))),
+                        DualGraph((0,) * 3, ())]
+        for graph in [*connected_multigraphs(3, 3), *disconnected]:
             subs = set(connected_subsets(graph))
+            assert len(subs) == len(connected_subsets(graph))
             n = graph.num_vertices
             for bits in range(1, 1 << n):
                 sub = frozenset(v for v in range(n) if bits >> v & 1)

@@ -94,7 +94,7 @@ class TestClassifyOneNode:
         assert (report.generic_h0, report.special_h0) == (0, 1)
         assert report.special_gluing == 1
         assert report.scan_histogram == ((1, 1),)
-        assert brute_node_scan(curve, 0, bundle)[0] == report.scan_histogram
+        assert brute_node_scan(curve, 0, bundle) == (report.scan_histogram, 1)
 
     def test_linked_branches_with_two_sections(self):
         # theta curve, focus on the last node, degrees (1, 1): the other

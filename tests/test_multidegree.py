@@ -256,6 +256,20 @@ class TestEnumerationOracles:
             assert semistable == sorted(tuple(d[v] for v in old) for d in product)
             assert enumerate_stable(union) == brute_box_scan(union, brute_is_stable)
 
+    def test_components_past_the_vertex_cap(self):
+        # 16 vertices, 8 per component: the subset cap bounds each component
+        cycle = DualGraph((0,) * 8, tuple((i, (i + 1) % 8) for i in range(8)))
+        blocks = disjoint_union(doubled_cycle(8), cycle)
+        new = random.Random(8).sample(range(16), 16)  # vertex v becomes new[v]
+        old = sorted(range(16), key=new.__getitem__)
+        union = DualGraph(tuple(blocks.genera[v] for v in old),
+                          tuple((new[u], new[v]) for u, v in blocks.edges))
+        product = (d + e for d in enumerate_stable(doubled_cycle(8))
+                   for e in enumerate_stable(cycle))
+        stable = enumerate_stable(union)
+        assert len(stable) == 255
+        assert stable == sorted(tuple(d[v] for v in old) for d in product)
+
     def test_doubled_eight_cycle_counts(self):
         graph = doubled_cycle(8)
         assert len(enumerate_semistable(graph)) == 6305

@@ -6,7 +6,12 @@ from math import comb
 import pytest
 
 from conftest import disjoint_union, per_stratum_theta_dim
-from nodaltheta.dual_graph import MAX_SUBSET_EDGES, DualGraph, GraphTooLargeError
+from nodaltheta.dual_graph import (
+    MAX_SUBSET_EDGES,
+    MAX_SUBSET_VERTICES,
+    DualGraph,
+    GraphTooLargeError,
+)
 from nodaltheta.families import (
     connected_multigraphs,
     genus_decorations,
@@ -250,6 +255,17 @@ class TestIrreducibility:
         rose = DualGraph((0,), ((0, 0),) * (MAX_SUBSET_EDGES + 1))
         assert is_theta_irreducible(rose) is True
         assert is_theta_irreducible(theta_graph(delta=MAX_SUBSET_EDGES + 1)) is False
+
+    def test_past_the_vertex_subset_cap(self):
+        # deleting the bridges of a path leaves one vertex per component
+        path = DualGraph((0,) * (MAX_SUBSET_VERTICES + 1),
+                         tuple((i, i + 1) for i in range(MAX_SUBSET_VERTICES)))
+        assert is_picard_irreducible(path) is True
+        assert is_theta_irreducible(path) is False
+        cycle = tuple((i, (i + 1) % 8) for i in range(8))
+        two_cycles = DualGraph((0,) * 16, cycle + tuple((u + 8, v + 8) for u, v in cycle))
+        assert is_picard_irreducible(two_cycles) is True
+        assert is_theta_irreducible(two_cycles) is False
 
     def test_valency_criteria_sufficient(self):
         for graph in connected_multigraphs(3, 5):
