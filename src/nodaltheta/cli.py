@@ -26,10 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .dual_graph import DualGraph
-from .modp import is_prime
+from .modp import BudgetExceededError, BudgetSettingError, is_prime
 from .multidegree import (
     enumerate_semistable,
     enumerate_stable,
@@ -45,7 +46,11 @@ from .strata import (
     strata_to_json,
     theta_strata,
 )
-from . import graph_curve as gc
+
+# graph_curve (and numpy with it) is imported only by the cohomology
+# commands, so the combinatorial ones start without it
+if TYPE_CHECKING:
+    from .graph_curve import GraphCurve
 
 
 class SpecError(ValueError):
@@ -96,13 +101,17 @@ def _parse_point(raw, path: str, prime: int):
     if not (isinstance(raw, list) and len(raw) == 2
             and all(_is_int(x) for x in raw)):
         raise SpecError(path, "need a point [a, 1] or [1, 0]")
+    from . import graph_curve as gc
+
     try:
         return gc.canonical_point(tuple(raw), prime)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(path, str(exc)) from exc
 
 
-def parse_curve(spec: dict, prime: int | None = None) -> gc.GraphCurve:
+def parse_curve(spec: dict, prime: int | None = None) -> GraphCurve:
+    from . import graph_curve as gc
+
     graph = parse_graph(spec)
     if any(g != 0 for g in graph.genera):
         raise SpecError("vertices", "branch-point curves need genus 0 everywhere")
@@ -326,6 +335,8 @@ def _cmd_irreducible(args) -> int:
 
 
 def _cmd_h0(args) -> int:
+    from . import graph_curve as gc
+
     spec = load_spec(args.spec)
     curve = parse_curve(spec)
     degrees = _parse_degrees(args.degrees, curve.graph.num_vertices, "--degrees")
@@ -341,6 +352,8 @@ def _cmd_h0(args) -> int:
 
 
 def _cmd_wcount(args) -> int:
+    from . import graph_curve as gc
+
     spec = load_spec(args.spec)
     if args.primes is not None:
         try:
@@ -395,6 +408,8 @@ def _cmd_wcount(args) -> int:
 
 
 def _cmd_abel(args) -> int:
+    from . import graph_curve as gc
+
     curve = parse_curve(load_spec(args.spec))
     points = _parse_points(args.points)
     bundle = gc.abel_image(curve, points)
@@ -419,6 +434,8 @@ def _cmd_abel(args) -> int:
 
 
 def _cmd_hyperelliptic(args) -> int:
+    from . import graph_curve as gc
+
     curve = parse_curve(load_spec(args.spec))
     value = gc.hyperelliptic_rational(curve)
     results = {"hyperelliptic": value, "prime": curve.prime}
@@ -526,10 +543,10 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except (SpecError, gc.BudgetSettingError) as exc:
+    except (SpecError, BudgetSettingError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except gc.BudgetExceededError as exc:
+    except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # GraphTooLargeError is a ValueError

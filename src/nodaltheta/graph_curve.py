@@ -23,53 +23,32 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 
+# imported here and not inside w_count on purpose: numpy loads with this
+# module, so the first torus scan of a session does not pay for the import
 import numpy as np
 
 from .dual_graph import DualGraph
-from .modp import batch_rank, inverse, is_prime, nullity, nullspace, rank, stack_dtype
+from .modp import (  # the budget names are re-exported for callers of the scans
+    DEFAULT_RANK_BUDGET,
+    BudgetExceededError,
+    BudgetSettingError,
+    batch_rank,
+    inverse,
+    is_prime,
+    nullity,
+    nullspace,
+    rank,
+    rank_budget,
+    stack_dtype,
+)
 
 INFINITY = (1, 0)
 
-#: Default cap on the number of rank computations in one exhaustive scan.
-DEFAULT_RANK_BUDGET = 20_000_000
-
 #: Per-component degree guard; the gluing systems are meant to be tiny.
 MAX_COMPONENT_DEGREE = 512
-
-
-class BudgetExceededError(RuntimeError):
-    """An exhaustive scan would need more rank computations than allowed."""
-
-    def __init__(self, cost: int, budget: int):
-        super().__init__(
-            f"exhaustive scan needs {cost} rank computations, budget is {budget}"
-        )
-        self.cost = cost
-        self.budget = budget
-
-
-class BudgetSettingError(ValueError):
-    """``THETA_STRATA_BUDGET`` is set to something other than a positive
-    integer."""
-
-
-def rank_budget() -> int:
-    """Active rank-computation budget (env THETA_STRATA_BUDGET overrides)."""
-    raw = os.environ.get("THETA_STRATA_BUDGET")
-    if not raw:
-        return DEFAULT_RANK_BUDGET
-    problem = f"THETA_STRATA_BUDGET: need an integer >= 1, got {raw!r}"
-    try:
-        budget = int(raw)
-    except ValueError as exc:
-        raise BudgetSettingError(problem) from exc
-    if budget < 1:
-        raise BudgetSettingError(problem)
-    return budget
 
 
 def canonical_point(value, p: int) -> tuple[int, int]:
@@ -970,7 +949,8 @@ class ThetaPolynomial:
         or None when the factorization is unavailable -- in practice only
         the univariate case factors; multivariate polynomials over finite
         fields are beyond the CAS.  A count of 1 is a small-case
-        irreducibility certificate."""
+        irreducibility certificate; a nonzero constant is a unit and
+        has 0 factors."""
         if self.is_identically_zero:
             return None
         import sympy
@@ -988,7 +968,7 @@ class ThetaPolynomial:
             _, factors = sympy.factor_list(expr, *gens, modulus=self.prime)
         except (NotImplementedError, sympy.polys.polyerrors.PolynomialError):
             return None
-        return sum(mult for _, mult in factors) if factors else 1
+        return sum(mult for _, mult in factors)
 
 
 MAX_SYMBOLIC_VARIABLES = 6

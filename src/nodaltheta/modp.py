@@ -5,12 +5,51 @@ p, handled in plain integer arithmetic: the gluing systems are tiny (at
 most a few dozen rows), so per-matrix numpy overhead would dominate.
 Scans that need the rank of many same-shaped matrices (one per point of
 a gluing torus) stack them and call ``batch_rank``, which eliminates the
-whole stack at once with numpy.
+whole stack at once with numpy.  numpy is imported by ``batch_rank`` and
+``stack_dtype`` alone, so the single-matrix routines and the budget below
+load without it.
+
+The rank budget caps the rank computations of one exhaustive scan;
+``THETA_STRATA_BUDGET`` overrides the default.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+#: Default cap on the number of rank computations in one exhaustive scan.
+DEFAULT_RANK_BUDGET = 20_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """An exhaustive scan would need more rank computations than allowed."""
+
+    def __init__(self, cost: int, budget: int):
+        super().__init__(
+            f"exhaustive scan needs {cost} rank computations, budget is {budget}"
+        )
+        self.cost = cost
+        self.budget = budget
+
+
+class BudgetSettingError(ValueError):
+    """``THETA_STRATA_BUDGET`` is set to something other than a positive
+    integer."""
+
+
+def rank_budget() -> int:
+    """Active rank-computation budget (env THETA_STRATA_BUDGET overrides)."""
+    raw = os.environ.get("THETA_STRATA_BUDGET")
+    if not raw:
+        return DEFAULT_RANK_BUDGET
+    problem = f"THETA_STRATA_BUDGET: need an integer >= 1, got {raw!r}"
+    try:
+        budget = int(raw)
+    except ValueError as exc:
+        raise BudgetSettingError(problem) from exc
+    if budget < 1:
+        raise BudgetSettingError(problem)
+    return budget
 
 
 def is_prime(n: int) -> bool:
@@ -92,6 +131,8 @@ def stack_dtype(p: int):
     """Element type of a matrix stack mod p: int64 for p < 2^31, where
     every product of two entries stays below 2^62, exact Python integers
     (object) beyond that."""
+    import numpy as np
+
     return np.int64 if p < 2 ** 31 else object
 
 
@@ -105,6 +146,8 @@ def batch_rank(stack, p: int):
     is taken and no intermediate reaches p^2.  The rank is the number of
     pivot rows.  The input is not modified.
     """
+    import numpy as np
+
     count, m, n = stack.shape
     used = np.zeros((count, m), dtype=bool)
     a = stack.copy()

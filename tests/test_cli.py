@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +246,41 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
         assert json.loads(first)["seed"] == 9
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# a fresh interpreter reports, after each step, whether numpy and the
+# cohomology module have been loaded
+BOUNDARY_PROBE = textwrap.dedent("""\
+    import contextlib, io, json, sys
+    spec = sys.argv[1]
+    loaded = lambda: [m in sys.modules for m in ("numpy", "nodaltheta.graph_curve")]
+    import nodaltheta.cli
+    steps = {"import": loaded()}
+    for name, argv in [("genus", ["genus", spec]),
+                       ("strata-theta", ["strata", spec, "--theta"]),
+                       ("h0", ["h0", spec, "--degrees", "0,1", "--gluing", "1,6,2"])]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert nodaltheta.cli.run(argv) == 0
+        steps[name] = loaded()
+    print(json.dumps(steps))
+""")
+
+
+class TestImportBoundary:
+    def test_only_cohomology_commands_load_numpy(self, theta_spec):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", BOUNDARY_PROBE, theta_spec],
+                                env=env, capture_output=True, text=True, check=True)
+        assert json.loads(result.stdout) == {
+            "import": [False, False],
+            "genus": [False, False],
+            "strata-theta": [False, False],
+            "h0": [True, True],
+        }
 
 
 class TestErrors:

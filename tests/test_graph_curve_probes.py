@@ -8,6 +8,7 @@ from nodaltheta.graph_curve import (
     INFINITY,
     GluedLineBundle,
     GraphCurve,
+    ThetaPolynomial,
     abel_image,
     classify_one_node,
     forced_vanishing_nodes,
@@ -249,6 +250,16 @@ class TestSymbolicDeterminant:
         assert poly.terms == (((0,), 4), ((1,), 1))  # c - 1 mod 5
         assert poly.zero_count() == 1
         assert poly.factor_count() == 1
+
+    @pytest.mark.parametrize("terms, variables, want", [
+        ((((), 3),), (), 0),          # a nonzero constant is a unit
+        ((((1,), 3),), ("c1",), 1),   # 3*c1
+        ((), ("c1",), None),          # the zero polynomial
+    ])
+    def test_factor_count_counts_irreducible_factors(self, terms, variables, want):
+        poly = ThetaPolynomial(prime=5, free_edges=tuple(range(len(variables))),
+                               terms=terms, variables=variables)
+        assert poly.factor_count() == want
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_zero_set_matches_w_count(self, p):
