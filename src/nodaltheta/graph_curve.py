@@ -36,6 +36,7 @@ from .modp import (  # the budget names are re-exported for callers of the scans
     BudgetExceededError,
     BudgetSettingError,
     batch_rank,
+    determinant,
     inverse,
     is_prime,
     nullity,
@@ -905,7 +906,7 @@ def w1_dimension_probe(branch_pairs, primes, budget: int | None = None,
     return ProbeResult(genus=g, r=r, counts=counts, fit=fit_exponent(counts))
 
 
-# -- symbolic determinant --------------------------------------------------------
+# -- theta determinant -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class ThetaPolynomial:
@@ -945,41 +946,48 @@ class ThetaPolynomial:
         )
 
     def factor_count(self):
-        """Number of irreducible factors over F_p (multiplicity counted),
-        or None when the factorization is unavailable -- in practice only
-        the univariate case factors; multivariate polynomials over finite
-        fields are beyond the CAS.  A count of 1 is a small-case
-        irreducibility certificate; a nonzero constant is a unit and
-        has 0 factors."""
+        """Number of irreducible factors over F_p, or None for the zero
+        polynomial; a nonzero constant is a unit and has 0.
+
+        The factors of a multilinear polynomial split its variables into
+        disjoint blocks, so the count holds over the algebraic closure too.
+        x_i and x_j share a block exactly when ``f00 * f11 != f10 * f01``,
+        ``f_ab`` being the coefficient of ``x_i^a x_j^b`` (Shpilka and
+        Volkovich, ICALP 2010); sharing is an equivalence, so one variable
+        stands for each block."""
         if self.is_identically_zero:
             return None
-        import sympy
-
-        gens = sympy.symbols(self.variables) if self.variables else ()
-        if not isinstance(gens, tuple):
-            gens = (gens,)
-        expr = sympy.Integer(0)
-        for expo, coeff in self.terms:
-            term = sympy.Integer(coeff)
-            for g, k in zip(gens, expo):
-                term *= g ** k
-            expr += term
-        try:
-            _, factors = sympy.factor_list(expr, *gens, modulus=self.prime)
-        except (NotImplementedError, sympy.polys.polyerrors.PolynomialError):
-            return None
-        return sum(mult for _, mult in factors)
+        monomials = {sum(b << i for i, b in enumerate(e)): c for e, c in self.terms}
+        heads = []
+        for i in range(len(self.free_edges)):
+            if any(m >> i & 1 for m in monomials) and not any(
+                    _share_factor(monomials, h, i, self.prime) for h in heads):
+                heads.append(i)
+        return len(heads)
 
 
-MAX_SYMBOLIC_VARIABLES = 6
+def _share_factor(monomials, i, j, p) -> bool:
+    """Whether ``f00 * f11 - f10 * f01 != 0`` for the multilinear polynomial
+    ``{bitmask: coefficient}``, split by the degrees in x_i and x_j."""
+    parts = {(a, b): {} for a in (0, 1) for b in (0, 1)}
+    for m, c in monomials.items():
+        parts[m >> i & 1, m >> j & 1][m & ~(1 << i | 1 << j)] = c
+    diff = {}  # a product monomial is keyed by its variables of degree >= 1 and of degree 2
+    for f, g, sign in ((parts[0, 0], parts[1, 1], 1), (parts[1, 0], parts[0, 1], -1)):
+        for (a, x), (b, y) in itertools.product(f.items(), g.items()):
+            diff[a | b, a & b] = diff.get((a | b, a & b), 0) + sign * x * y
+    return any(v % p for v in diff.values())
 
 
 def symbolic_theta_polynomial(curve: GraphCurve, degrees) -> ThetaPolynomial:
     """Exact determinant of the gluing matrix in the free scalars.
 
     Requires the square case: h^0 of the normalization equal to the number
-    of nodes.  The polynomial is multilinear (each scalar sits in a single
-    row), identically zero exactly when every gluing admits a section.
+    of nodes.  The coefficient of the monomial over a set S of free edges
+    is ``(-1)^|S| det(M_S)``, where M_S takes ``row1`` on S, ``row2`` on the
+    other free edges and ``row2 - row1`` on the forest: 2^k determinants,
+    counted against the rank budget.  The polynomial is identically zero
+    exactly when every gluing admits a section.
     """
     p = curve.prime
     l = normalization_h0(degrees)
@@ -988,38 +996,18 @@ def symbolic_theta_polynomial(curve: GraphCurve, degrees) -> ThetaPolynomial:
             f"square case needed: normalization h^0 {l} != {curve.graph.num_edges} nodes"
         )
     free = free_gluing_edges(curve)
-    if len(free) > MAX_SYMBOLIC_VARIABLES:
-        raise ValueError(
-            f"{len(free)} free scalars exceed the symbolic cap of {MAX_SYMBOLIC_VARIABLES}"
-        )
-    import sympy
-
-    names = tuple(f"c{e}" for e in free)
-    symbols = sympy.symbols(names) if names else ()
-    if not isinstance(symbols, tuple):
-        symbols = (symbols,)
-    sym_of = dict(zip(free, symbols))
-    pairs, total = _edge_rows(curve, degrees)
-    matrix_rows = []
-    for e, (row1, row2) in enumerate(pairs):
-        c = sym_of.get(e, 1)
-        matrix_rows.append([
-            sympy.Integer(b) - c * sympy.Integer(a) for a, b in zip(row1, row2)
-        ])
-    det = sympy.Matrix(matrix_rows).det(method="berkowitz") if matrix_rows else sympy.Integer(1)
-    det = sympy.expand(det)
-    terms = {}
-    poly = sympy.Poly(det, *symbols) if symbols else None
-    if poly is not None:
-        for expo, coeff in poly.terms():
-            c = int(coeff) % p
-            if c:
-                terms[tuple(expo)] = c
-    else:
-        c = int(det) % p
-        if c:
-            terms[()] = c
-    return ThetaPolynomial(
-        prime=p, free_edges=free,
-        terms=tuple(sorted(terms.items())), variables=names,
-    )
+    cost, limit = 2 ** len(free), rank_budget()
+    if cost > limit:
+        raise BudgetExceededError(cost, limit)
+    pairs, _ = _edge_rows(curve, degrees)
+    forest_rows = [[(b - a) % p for a, b in zip(row1, row2)] for row1, row2 in pairs]
+    terms = []
+    for expo in itertools.product((0, 1), repeat=len(free)):
+        rows = list(forest_rows)
+        for e, bit in zip(free, expo):
+            rows[e] = pairs[e][1 - bit]
+        coeff = (-1) ** sum(expo) * determinant(rows, p) % p
+        if coeff:
+            terms.append((expo, coeff))
+    return ThetaPolynomial(prime=p, free_edges=free, terms=tuple(terms),
+                           variables=tuple(f"c{e}" for e in free))

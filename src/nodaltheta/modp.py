@@ -75,17 +75,20 @@ def inverse(a: int, p: int) -> int:
 
 
 def row_echelon(rows, p):
-    """In-place forward elimination; returns the list of pivot columns."""
+    """In-place forward elimination.  Returns the pivot columns and the
+    product of the pivots divided out, negated once per row swap: the
+    determinant when the input is square and every column has a pivot."""
     if not rows:
-        return []
+        return [], 1
     m, n = len(rows), len(rows[0])
-    pivots = []
+    pivots, scale = [], 1
     r = 0
     for c in range(n):
         pivot = next((i for i in range(r, m) if rows[i][c] % p), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = scale * rows[r][c] * (-1 if pivot != r else 1) % p
         inv = inverse(rows[r][c], p)
         rows[r] = [x * inv % p for x in rows[r]]
         for i in range(m):
@@ -96,11 +99,19 @@ def row_echelon(rows, p):
         r += 1
         if r == m:
             break
-    return pivots
+    return pivots, scale
+
+
+def determinant(rows, p) -> int:
+    """Determinant mod p of a square matrix (1 for the 0 x 0 matrix)."""
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    pivots, scale = row_echelon([list(r) for r in rows], p)
+    return scale if len(pivots) == len(rows) else 0
 
 
 def rank(rows, p) -> int:
-    return len(row_echelon([list(r) for r in rows], p))
+    return len(row_echelon([list(r) for r in rows], p)[0])
 
 
 def nullity(rows, ncols, p) -> int:
@@ -114,7 +125,7 @@ def nullspace(rows, ncols, p):
     if not rows:
         return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
     work = [list(r) for r in rows]
-    pivots = row_echelon(work, p)
+    pivots, _ = row_echelon(work, p)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []

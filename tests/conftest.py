@@ -5,8 +5,9 @@ counts by path search, bridges by per-edge removal and one node's h^0
 at every gluing scalar (shared with the ``selfcheck`` battery),
 stability of degrees and of orientations and the destabilizing nodes
 by scanning every subset (not only connected ones),
-matrix rank by minor expansion, theta stratum dimensions by normalizing
-once per stratum.
+determinants and matrix rank by minor expansion, the irreducible factors
+of a multilinear polynomial by scanning its variable bipartitions, theta
+stratum dimensions by normalizing once per stratum.
 Expected values frozen in the tests were computed with these.
 """
 
@@ -128,31 +129,61 @@ def disjoint_union(*graphs: DualGraph) -> DualGraph:
     return DualGraph(genera, edges)
 
 
+def brute_det(rows, p: int) -> int:
+    """Determinant over F_p by expansion along the first row (tiny square
+    matrices only); the 0 x 0 determinant is 1."""
+    if not rows:
+        return 1
+    total = 0
+    for j, x in enumerate(rows[0]):
+        if x % p:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            total += (-1) ** j * x * brute_det(minor, p)
+    return total % p
+
+
 def brute_rank(rows, p: int) -> int:
     """Rank over F_p by scanning square minors (tiny matrices only)."""
     rows = [list(r) for r in rows]
     if not rows:
         return 0
     m, n = len(rows), len(rows[0])
-
-    def det(idx_r, idx_c):
-        k = len(idx_r)
-        if k == 1:
-            return rows[idx_r[0]][idx_c[0]] % p
-        total = 0
-        sign = 1
-        for j, c in enumerate(idx_c):
-            sub = det(idx_r[1:], idx_c[:j] + idx_c[j + 1:])
-            total = (total + sign * rows[idx_r[0]][c] * sub) % p
-            sign = -sign
-        return total % p
-
     for k in range(min(m, n), 0, -1):
         for idx_r in itertools.combinations(range(m), k):
             for idx_c in itertools.combinations(range(n), k):
-                if det(idx_r, idx_c) != 0:
+                if brute_det([[rows[i][j] for j in idx_c] for i in idx_r], p):
                     return k
     return 0
+
+
+def brute_factor_count(terms, p: int):
+    """Irreducible factors of a multilinear polynomial over F_p, by scanning
+    every subset A of the variables that occur.  The factors have disjoint
+    variables, and f splits along A | rest exactly when its coefficient
+    matrix (rows: exponents on A, columns: exponents on the rest) has rank
+    1, that is every 2 x 2 minor vanishes, so with m factors there are 2^m
+    such subsets.  ``terms`` is a sequence of (0/1 exponent tuple,
+    coefficient); None for the zero polynomial."""
+    coeffs = {tuple(e): c % p for e, c in terms if c % p}
+    if not coeffs:
+        return None
+    k = len(next(iter(coeffs)))
+    used = [i for i in range(k) if any(e[i] for e in coeffs)]
+    splits = 0
+    for size in range(len(used) + 1):
+        for part in itertools.combinations(used, size):
+            rest = tuple(i for i in used if i not in part)
+
+            def coeff(a, b):
+                bits = dict(zip(part + rest, a + b))
+                return coeffs.get(tuple(bits.get(i, 0) for i in range(k)), 0)
+
+            matrix = [[coeff(a, b) for b in itertools.product((0, 1), repeat=len(rest))]
+                      for a in itertools.product((0, 1), repeat=size)]
+            splits += all((a * d - b * c) % p == 0
+                          for r1, r2 in itertools.combinations(matrix, 2)
+                          for (a, c), (b, d) in itertools.combinations(zip(r1, r2), 2))
+    return splits.bit_length() - 1
 
 
 # -- curve builders -----------------------------------------------------

@@ -268,19 +268,35 @@ BOUNDARY_PROBE = textwrap.dedent("""\
 """)
 
 
+# the theta determinant and its factor count in a fresh interpreter; the
+# package has no computer algebra dependency
+THETA_PROBE = textwrap.dedent("""\
+    import sys
+    from nodaltheta.graph_curve import rational_curve, symbolic_theta_polynomial
+    poly = symbolic_theta_polynomial(rational_curve(11, [(1, 2), (3, 4), (5, 6)]), (2,))
+    print(poly.factor_count(), "sympy" in sys.modules)
+""")
+
+
+def run_fresh(*argv) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 class TestImportBoundary:
     def test_only_cohomology_commands_load_numpy(self, theta_spec):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-        result = subprocess.run([sys.executable, "-c", BOUNDARY_PROBE, theta_spec],
-                                env=env, capture_output=True, text=True, check=True)
-        assert json.loads(result.stdout) == {
+        assert json.loads(run_fresh(BOUNDARY_PROBE, theta_spec)) == {
             "import": [False, False],
             "genus": [False, False],
             "strata-theta": [False, False],
             "h0": [True, True],
         }
+
+    def test_theta_determinant_leaves_sympy_unloaded(self):
+        assert run_fresh(THETA_PROBE) == "1 False\n"
 
 
 class TestErrors:

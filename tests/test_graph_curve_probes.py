@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from conftest import brute_node_scan, brute_rank, theta_curve, two_cycle_curve
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.graph_curve import (
     INFINITY,
+    BudgetExceededError,
     GluedLineBundle,
     GraphCurve,
     ThetaPolynomial,
@@ -291,11 +293,27 @@ class TestSymbolicDeterminant:
         with pytest.raises(ValueError, match="square"):
             symbolic_theta_polynomial(curve, (1, 1))
 
-    def test_variable_cap(self):
-        pairs = [(k, k + 7) for k in range(7)]
-        curve = rational_curve(31, pairs)
-        with pytest.raises(ValueError, match="free scalars"):
+    def test_budget_refusal(self, monkeypatch):
+        # 7 free scalars need 2^7 determinants
+        monkeypatch.setenv("THETA_STRATA_BUDGET", "64")
+        curve = rational_curve(31, [(k, k + 7) for k in range(7)])
+        with pytest.raises(BudgetExceededError) as info:
             symbolic_theta_polynomial(curve, (6,))
+        assert (info.value.cost, info.value.budget) == (128, 64)
+
+    def test_zeros_are_the_gluings_with_sections(self):
+        # the determinant vanishes exactly at the gluings with a section
+        curve = rational_curve(31, [(k, k + 7) for k in range(7)])
+        poly = symbolic_theta_polynomial(curve, (6,))
+        assert poly.variables == tuple(f"c{e}" for e in range(7))
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(200):
+            values = tuple(rng.randrange(1, 31) for _ in range(7))
+            vanishes = poly.evaluate(values) == 0
+            assert vanishes == (h0(curve, GluedLineBundle((6,), values)) > 0)
+            seen.add(vanishes)
+        assert seen == {True, False}
 
 
 class TestStatisticalProbes:
@@ -303,8 +321,6 @@ class TestStatisticalProbes:
         # semistable degree: the locus of Abel images whose sections all
         # vanish at a fixed marked point is a proper subvariety, so its
         # share of a sample drops as the prime grows
-        import random
-
         fractions = {}
         for p in (11, 101):
             curve = theta_curve(p)

@@ -1,9 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from nodaltheta.modp import batch_rank, rank, stack_dtype
+from conftest import brute_det
+from nodaltheta.modp import batch_rank, determinant, rank, stack_dtype
 
 # 2^61 - 1 overflows int64 products: only exact integers get it right
 PRIMES = [2, 3, 11, 2147483659, 2 ** 61 - 1]
@@ -49,3 +51,34 @@ def test_batch_rank_degenerate_shapes(p):
 def test_stack_dtype_switches_at_int64_safe_primes():
     assert stack_dtype(2147483647) is np.int64
     assert stack_dtype(2147483659) is object
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_determinant_matches_minor_expansion(p):
+    rng = random.Random(p)
+    singular = 0
+    for trial in range(150):
+        n = rng.randrange(1, 6)
+        rows = random_matrix(rng, p, n, n, trial % 3 == 0)
+        det = determinant(rows, p)
+        assert det == brute_det(rows, p)
+        singular += det == 0
+    assert singular >= 30
+    assert determinant([], p) == 1
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_determinant_of_scaled_permutation(p):
+    # every column but the last needs a row swap: det = sign * prod(scales)
+    n = 5
+    perm = [n - 1] + list(range(n - 1))  # a 5-cycle, sign +1
+    scales = [(3 * i + 2) % p or 1 for i in range(n)]
+    rows = [[scales[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    assert determinant(rows, p) == brute_det(rows, p) == math.prod(scales) % p
+    rows[0], rows[1] = rows[1], rows[0]
+    assert determinant(rows, p) == brute_det(rows, p) == -math.prod(scales) % p
+
+
+def test_determinant_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        determinant([[1, 2, 3], [4, 5, 6]], 7)
