@@ -109,6 +109,15 @@ def _parse_point(raw, path: str, prime: int):
         raise SpecError(path, str(exc)) from exc
 
 
+def _require_prime(n: int, path: str) -> None:
+    try:
+        prime = is_prime(n)
+    except ValueError as exc:  # past the exact primality limit
+        raise SpecError(path, str(exc)) from exc
+    if not prime:
+        raise SpecError(path, f"{n} is not prime")
+
+
 def parse_curve(spec: dict, prime: int | None = None) -> GraphCurve:
     from . import graph_curve as gc
 
@@ -119,8 +128,7 @@ def parse_curve(spec: dict, prime: int | None = None) -> GraphCurve:
         prime = spec.get("field_prime")
     if not _is_int(prime):
         raise SpecError("field_prime", "need a prime (or pass --primes)")
-    if not is_prime(prime):
-        raise SpecError("field_prime", f"{prime} is not prime")
+    _require_prime(prime, "field_prime")
     bp = spec.get("branch_points")
     if not isinstance(bp, dict):
         raise SpecError("branch_points", "need a map edge index -> pair of points")
@@ -361,8 +369,7 @@ def _cmd_wcount(args) -> int:
         except ValueError as exc:
             raise SpecError("--primes", "need comma-separated primes") from exc
         for i, p in enumerate(primes):
-            if not is_prime(p):
-                raise SpecError("--primes", f"{p} is not prime")
+            _require_prime(p, "--primes")
             if p in primes[:i]:
                 raise SpecError("--primes", f"{p} is given twice")
     else:
@@ -449,11 +456,11 @@ def _cmd_selfcheck(args) -> int:
 
     outcomes = run_selfcheck(fast=args.fast)
     failures = 0
-    for name, ok, detail in outcomes:
+    for name, ok, detail, seconds in outcomes:
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
-        print(f"{status}  {name}  {detail}")
+        print(f"{status}  {name}  {detail}  [{seconds:.2f} s]")
     print(f"{len(outcomes) - failures}/{len(outcomes)} invariants passed")
     return 0 if failures == 0 else 1
 

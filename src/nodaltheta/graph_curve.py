@@ -519,107 +519,6 @@ def forced_vanishing_nodes(curve: GraphCurve, bundle: GluedLineBundle,
     return ForcedVanishing(tuple(out), False)
 
 
-# -- admissible divisors ----------------------------------------------------
-
-@dataclass(frozen=True)
-class EffectiveNodeDivisor:
-    """Effective divisor supported on branch points (and optionally extra
-    smooth points), stored with multiplicities."""
-
-    half_edges: tuple    # ((edge, side), multiplicity) pairs
-    smooth_points: tuple = ()  # (vertex, point, multiplicity) triples
-
-    def degree_on(self, curve: GraphCurve, vertex: int) -> int:
-        total = 0
-        for (e, side), mult in self.half_edges:
-            if curve.graph.edges[e][side - 1] == vertex:
-                total += mult
-        for v, _pt, mult in self.smooth_points:
-            if v == vertex:
-                total += mult
-        return total
-
-    def total_degree(self) -> int:
-        return sum(m for _, m in self.half_edges) + sum(
-            m for _, _, m in self.smooth_points
-        )
-
-
-def is_admissible(curve: GraphCurve, degrees, divisor: EffectiveNodeDivisor) -> bool:
-    """Degree of the divisor on every subcurve at most that subcurve's h^0.
-
-    On disjoint rational components both sides are additive over vertices,
-    so the per-vertex bound ``deg_v <= max(d_v + 1, 0)`` is equivalent.
-    """
-    for _, mult in divisor.half_edges:
-        if mult < 0:
-            raise ValueError("divisor multiplicities must be nonnegative")
-    for _, _, mult in divisor.smooth_points:
-        if mult < 0:
-            raise ValueError("divisor multiplicities must be nonnegative")
-    return all(
-        divisor.degree_on(curve, v) <= max(degrees[v] + 1, 0)
-        for v in range(curve.graph.num_vertices)
-    )
-
-
-def admissible_divisors(curve: GraphCurve, degrees, half_edge_set) -> list[EffectiveNodeDivisor]:
-    """All admissible multiplicity assignments on the given half-edges.
-
-    The per-vertex h^0 bound keeps this finite; output is sorted by the
-    multiplicity vectors in the order the half-edges were given.
-    """
-    hes = list(half_edge_set)
-    caps = []
-    for he in hes:
-        e, side = he
-        v = curve.graph.edges[e][side - 1]
-        caps.append(max(degrees[v] + 1, 0))
-    out = []
-    for mults in itertools.product(*(range(c + 1) for c in caps)):
-        divisor = EffectiveNodeDivisor(
-            half_edges=tuple((he, m) for he, m in zip(hes, mults) if m > 0)
-        )
-        if is_admissible(curve, degrees, divisor):
-            out.append(divisor)
-    return out
-
-
-def imposes_independent_conditions(curve: GraphCurve, degrees,
-                                   divisor: EffectiveNodeDivisor) -> bool:
-    """Whether h^0 drops by exactly the divisor degree on every subcurve.
-
-    Inadmissible (but effective) divisors fail the definition and return
-    False; negative multiplicities are rejected.  The check is an exact
-    rank computation of the vanishing conditions on each component.
-    """
-    if not is_admissible(curve, degrees, divisor):
-        return False
-    p = curve.prime
-    for v in range(curve.graph.num_vertices):
-        d = degrees[v]
-        conditions: dict[tuple, int] = {}
-        for (e, side), mult in divisor.half_edges:
-            if curve.graph.edges[e][side - 1] == v:
-                pt = curve.branch[(e, side)]
-                conditions[pt] = conditions.get(pt, 0) + mult
-        for vert, pt, mult in divisor.smooth_points:
-            if vert == v:
-                cpt = canonical_point(pt, p)
-                conditions[cpt] = conditions.get(cpt, 0) + mult
-        if not conditions:
-            continue
-        rows = []
-        for pt, mult in conditions.items():
-            rows.extend(_vanishing_rows(d, pt, mult, p))
-        ncols = max(d + 1, 0)
-        before = ncols
-        after = before - rank(rows, p) if rows else before
-        if after != before - divisor.degree_on(curve, v):
-            return False
-    return True
-
-
 # -- effective-locus counting ------------------------------------------------
 
 def free_gluing_edges(curve: GraphCurve) -> tuple[int, ...]:
@@ -711,38 +610,23 @@ class ExponentFit:
     """Growth exponent of counts across primes.
 
     ``slope`` is the least-squares fit of log(count) = s * log(p), the
-    model behind the single-prime estimate log_p(count); at desk-scale
-    primes it is far more stable than the intercept variant, which is
-    still reported as ``slope_with_intercept`` for reference.  Zero
-    counts carry no logarithm and are excluded; all-zero data is flagged
-    empty, and fewer than two positive counts yield no slope.
+    model behind the single-prime estimate log_p(count).  Zero counts
+    carry no logarithm and are excluded; all-zero data is flagged empty,
+    and fewer than two positive counts yield no slope.
     """
 
     slope: float | None
-    slope_with_intercept: float | None
     max_residual: float | None
-    primes_used: tuple[int, ...]
     empty: bool
 
 
 def fit_exponent(counts: dict[int, int]) -> ExponentFit:
     pts = [(math.log(p), math.log(n)) for p, n in sorted(counts.items()) if n > 0]
-    used = tuple(p for p, n in sorted(counts.items()) if n > 0)
-    if not pts:
-        return ExponentFit(None, None, None, (), True)
     if len(pts) < 2:
-        return ExponentFit(None, None, None, used, False)
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    slope = sum(x * y for x, y in pts) / sum(x * x for x in xs)
+        return ExponentFit(None, None, not pts)
+    slope = sum(x * y for x, y in pts) / sum(x * x for x, _ in pts)
     residual = max(abs(y - slope * x) for x, y in pts)
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    denom = sum((x - xbar) ** 2 for x in xs)
-    with_intercept = (
-        sum((x - xbar) * (y - ybar) for x, y in pts) / denom if denom else None
-    )
-    return ExponentFit(slope, with_intercept, residual, used, False)
+    return ExponentFit(slope, residual, False)
 
 
 # -- one-node case analysis ---------------------------------------------------

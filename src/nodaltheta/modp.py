@@ -52,18 +52,36 @@ def rank_budget() -> int:
     return budget
 
 
+#: Miller-Rabin with the prime bases up to 41 is exact below this bound,
+#: the least strong pseudoprime to all of them (Sorenson and Webster,
+#: Math. Comp. 2017).
+PRIMALITY_LIMIT = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = frozenset(_WITNESSES)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Exact primality by deterministic Miller-Rabin; ``ValueError`` at or
+    above ``PRIMALITY_LIMIT``, where the fixed bases are not proven."""
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"{n} is past the exact primality limit {PRIMALITY_LIMIT}")
+    if n <= _WITNESSES[-1]:
+        return n in _SMALL_PRIMES
+    if any(n % a == 0 for a in _WITNESSES):
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -418,10 +418,3 @@ def stabilize(graph: DualGraph, d) -> StabilizationResult:
         degree_unique=True,
     )
 
-
-# -- numerics -----------------------------------------------------------
-
-def brill_noether_number(g: int, r: int, d: int) -> int:
-    """Expected dimension ``g - (r + 1)(r - d + g)`` of a locus of line
-    bundles of degree ``d`` with at least ``r + 1`` sections."""
-    return g - (r + 1) * (r - d + g)

@@ -1,15 +1,22 @@
-"""Invariant battery behind the ``selfcheck`` command.
+"""Invariant registry behind the ``selfcheck`` command and the test suite.
 
-Each check pits an operation against an independent brute-force oracle or
-a second implementation, at parameters small enough for a fresh checkout
-to finish in seconds (``fast=True``) or somewhat larger ones.  A failure
-means a bug, never bad user input.
+``INVARIANTS`` maps each invariant's name to a function of ``fast`` that
+returns ``(ok, detail)``.  Each one pits an operation against an
+independent brute-force oracle or a second implementation, exhaustively
+on a small family or on seeded random instances, at sizes small enough
+for a fresh checkout to finish in seconds (``fast=True``) or somewhat
+larger ones.  Every seeded entry makes its own ``random.Random``, so an
+entry draws the same instances whether it runs alone or among the
+others, in any order.  ``nodaltheta selfcheck`` runs the registry, and
+``tests/test_invariants.py`` runs it at full size.  A failure means a
+bug, never bad user input.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
 
 from . import multidegree as md
 from . import strata as st
@@ -21,6 +28,7 @@ from .families import (
     orientation_multidegree_sets,
     translate,
 )
+from .graph_curve import INFINITY, GraphCurve
 
 
 def brute_component_count(graph: DualGraph) -> int:
@@ -81,56 +89,84 @@ def brute_node_scan(curve, edge: int, bundle):
     return histogram, None
 
 
-def _random_graph(rng: random.Random, max_v=5, max_e=7) -> DualGraph:
-    n = rng.randrange(1, max_v + 1)
-    edges = []
-    for v in range(1, n):
-        edges.append((rng.randrange(v), v))  # keep it connected
-    for _ in range(rng.randrange(0, max_e - len(edges) + 1)):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        edges.append((min(u, v), max(u, v)))
-    genera = tuple(rng.randrange(0, 3) for _ in range(n))
-    return DualGraph(genera, tuple(edges))
+# -- curve builders -----------------------------------------------------
+
+def cycle_curve(length: int, prime: int) -> GraphCurve:
+    edges = tuple((i, (i + 1) % length) for i in range(length))
+    graph = DualGraph((0,) * length, edges)
+    branch = {}
+    for e in range(length):
+        branch[(e, 1)] = (0, 1)
+        branch[(e, 2)] = (1, 1)
+    return GraphCurve(graph, prime, branch)
 
 
-def _random_curve(rng: random.Random, prime=11, max_v=3, max_e=4):
+def random_rational_curve(rng: random.Random, prime=11, max_v=3, max_e=4) -> GraphCurve:
+    """Random small connected all-rational curve with distinct branch points."""
     while True:
-        g = _random_graph(rng, max_v, max_e)
-        g = DualGraph((0,) * g.num_vertices, g.edges)
-        if g.num_edges == 0:
+        n = rng.randrange(1, max_v + 1)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        for _ in range(rng.randrange(0 if edges else 1, max_e - len(edges) + 1)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            edges.append((min(u, v), max(u, v)))
+        if not edges:
             continue
-        if any(g.valency(v) > prime - 1 for v in range(g.num_vertices)):
+        graph = DualGraph((0,) * n, tuple(edges))
+        if any(graph.valency(v) > prime for v in range(n)):
             continue
-        # valency <= p - 1 leaves a free point among the p + 1 at every end
         branch = {}
-        used = [set() for _ in range(g.num_vertices)]
-        for e, (u, v) in enumerate(g.edges):
+        used = [set() for _ in range(n)]
+        ok = True
+        for e, (u, v) in enumerate(graph.edges):
             for side, vert in ((1, u), (2, v)):
                 free = [(a, 1) for a in range(prime) if (a, 1) not in used[vert]]
-                free += [gc.INFINITY] if gc.INFINITY not in used[vert] else []
+                if INFINITY not in used[vert]:
+                    free.append(INFINITY)
+                if not free:
+                    ok = False
+                    break
                 pt = rng.choice(free)
                 used[vert].add(pt)
                 branch[(e, side)] = pt
-        return gc.GraphCurve(g, prime, branch)
+            if not ok:
+                break
+        if ok:
+            return GraphCurve(graph, prime, branch)
 
 
-def _check_genus_identities(rng, n_instances):
-    for _ in range(n_instances):
-        g = _random_graph(rng)
-        subset = frozenset(
-            e for e in range(g.num_edges) if rng.random() < 0.5
-        )
-        if g.arithmetic_genus(range(g.num_vertices)) != g.arithmetic_genus():
-            return False, "full-subcurve genus mismatch"
-        if g.delete_edges(subset).arithmetic_genus() != g.arithmetic_genus() - len(subset):
-            return False, f"genus drop failed on {g}"
-        blown, _ = g.blow_up(subset)
-        if blown.arithmetic_genus() != g.arithmetic_genus():
-            return False, f"blow-up changed the genus on {g}"
-        if brute_component_count(blown) != brute_component_count(g):
-            return False, f"blow-up changed the component count on {g}"
-    return True, f"{n_instances} random graphs"
+def _random_bundle(rng: random.Random, curve) -> gc.GluedLineBundle:
+    degrees = tuple(rng.randrange(-1, 3) for _ in range(curve.graph.num_vertices))
+    gluing = tuple(rng.randrange(1, curve.prime) for _ in range(curve.graph.num_edges))
+    return gc.GluedLineBundle(degrees, gluing)
+
+
+def _decorated(max_v, max_e):
+    for g in connected_multigraphs(max_v, max_e):
+        yield from genus_decorations(g, 1)
+
+
+# -- dual graphs --------------------------------------------------------
+
+def _check_genus_identities(fast):
+    checked = 0
+    for g in _decorated(3 if fast else 4, 4 if fast else 5):
+        genus, pieces = g.arithmetic_genus(), brute_component_count(g)
+        if g.arithmetic_genus(range(g.num_vertices)) != genus:
+            return False, f"full-subcurve genus mismatch on {g}"
+        for k in range(g.num_edges + 1):
+            for subset in itertools.combinations(range(g.num_edges), k):
+                split = g.delete_edges(subset)
+                if split.arithmetic_genus() != genus - k:
+                    return False, f"genus drop failed on {g} at {subset}"
+                if len(split.connected_components()) != brute_component_count(split):
+                    return False, f"component count vs path search on {g} at {subset}"
+                blown, exceptional = g.blow_up(subset)
+                if blown.arithmetic_genus() != genus or len(exceptional) != k:
+                    return False, f"blow-up changed the genus on {g} at {subset}"
+                if brute_component_count(blown) != pieces:
+                    return False, f"blow-up changed the component count on {g} at {subset}"
+                checked += 1
+    return True, f"{checked} decorated graphs and edge subsets"
 
 
 def _check_bridges(fast):
@@ -142,20 +178,23 @@ def _check_bridges(fast):
     return True, f"{checked} graphs vs removal oracle"
 
 
-def _check_spanning_forest(rng, n_instances):
-    for _ in range(n_instances):
-        g = _random_graph(rng)
+def _check_spanning_forest(fast):
+    checked = 0
+    for g in connected_multigraphs(3 if fast else 4, 4 if fast else 5):
         forest = g.spanning_forest()
         sub = DualGraph(g.genera, tuple(g.edges[e] for e in forest))
-        # acyclic: edges = vertices - components; spanning: same components
+        # a maximal acyclic set on k vertices and c components has k - c edges
         if len(forest) != g.num_vertices - brute_component_count(sub):
             return False, f"forest has a cycle on {g.edges}"
         if brute_component_count(sub) != brute_component_count(g):
             return False, f"forest does not span {g.edges}"
-        if any(sub.edges[i][0] == sub.edges[i][1] for i in range(sub.num_edges)):
-            return False, "forest contains a loop"
-    return True, f"{n_instances} random graphs"
+        if any(u == v for u, v in sub.edges):
+            return False, f"forest contains a loop on {g.edges}"
+        checked += 1
+    return True, f"{checked} graphs"
 
+
+# -- multidegrees -------------------------------------------------------
 
 def _definition_equivalence_family(fast):
     max_v, max_e, max_genus = (3, 5, 1) if fast else (4, 6, 2)
@@ -177,10 +216,11 @@ def _check_definition_equivalence(fast):
     return True, f"{checked} decorated graphs"
 
 
-def _check_single_predicates(fast, rng):
+def _check_single_predicates(fast):
     # the scalar predicates against the enumerations on every decorated
     # graph of the small family, plus a 5% sample of the larger one in full
     # mode, over the degree box widened by one on each side
+    rng = random.Random(20260810)
     family = _definition_equivalence_family(True)
     if not fast:
         sample = (x for x in _definition_equivalence_family(False) if rng.random() < 0.05)
@@ -205,12 +245,11 @@ def _check_single_predicates(fast, rng):
 
 def _check_bridge_dichotomy(fast):
     checked = 0
-    for g in connected_multigraphs(3 if fast else 4, 5 if fast else 6):
-        for dec in genus_decorations(g, 1):
-            empty = not md.enumerate_stable(dec)
-            if empty != bool(dec.bridges()):
-                return False, f"stable classes vs bridges on {dec}"
-            checked += 1
+    for dec in _decorated(3 if fast else 4, 5 if fast else 6):
+        empty = not md.enumerate_stable(dec)
+        if empty != bool(dec.bridges()):
+            return False, f"stable classes vs bridges on {dec}"
+        checked += 1
     return True, f"{checked} decorated graphs"
 
 
@@ -218,141 +257,148 @@ def _check_stable_nonnegative(fast):
     # the one exception is the trivial curve: a single genus-0 vertex has
     # the lone stable class (-1,), so the claim needs arithmetic genus >= 1
     checked = 0
-    for g in connected_multigraphs(3 if fast else 4, 5 if fast else 6):
-        for dec in genus_decorations(g, 1):
-            if dec.arithmetic_genus() < 1:
-                continue
-            for d in md.enumerate_stable(dec):
-                if any(x < 0 for x in d):
-                    return False, f"negative stable degree {d} on {dec}"
-                checked += 1
+    for dec in _decorated(3 if fast else 4, 5 if fast else 6):
+        if dec.arithmetic_genus() < 1:
+            continue
+        for d in md.enumerate_stable(dec):
+            if any(x < 0 for x in d):
+                return False, f"negative stable degree {d} on {dec}"
+            checked += 1
     return True, f"{checked} stable classes"
 
 
-def _check_orientation_totals(rng, n_instances):
-    for _ in range(n_instances):
-        g = _random_graph(rng)
-        orientation = tuple(rng.randrange(2) for _ in range(g.num_edges))
-        d = md.multidegree_of_orientation(g, orientation)
-        if sum(d) != g.arithmetic_genus() - 1:
-            return False, f"orientation total off on {g}"
-    return True, f"{n_instances} random orientations"
+def _check_orientation_totals(fast):
+    checked = 0
+    for dec in _decorated(3 if fast else 4, 4 if fast else 5):
+        for orientation in itertools.product((0, 1), repeat=dec.num_edges):
+            d = md.multidegree_of_orientation(dec, orientation)
+            if sum(d) != dec.arithmetic_genus() - 1:
+                return False, f"orientation total off on {dec}"
+            checked += 1
+    return True, f"{checked} orientations"
 
 
 def _check_stabilize(fast):
     # stabilize and the predicates share the orientation core, so the
     # oracle is the subcurve-bound enumeration
     checked = 0
-    for g in connected_multigraphs(3, 5):
-        for dec in genus_decorations(g, 1):
-            stable = set(md.enumerate_stable(dec))
-            for d in md.enumerate_semistable(dec):
-                result = md.stabilize(dec, d)
-                normalized = dec.delete_edges(result.destabilizing_set)
-                if result.stable_degree not in md.enumerate_stable(normalized):
-                    return False, f"stabilize output not stable on {dec}, {d}"
-                if sum(result.stable_degree) != sum(d) - len(result.destabilizing_set):
-                    return False, f"stabilize total off on {dec}, {d}"
-                if bool(result.destabilizing_set) == (d in stable):
-                    return False, f"destabilizing set vs stability on {dec}, {d}"
-                checked += 1
+    for dec in _decorated(3, 4 if fast else 5):
+        stable = set(md.enumerate_stable(dec))
+        for d in md.enumerate_semistable(dec):
+            result = md.stabilize(dec, d)
+            normalized = dec.delete_edges(result.destabilizing_set)
+            if result.stable_degree not in md.enumerate_stable(normalized):
+                return False, f"stabilize output not stable on {dec}, {d}"
+            if sum(result.stable_degree) != sum(d) - len(result.destabilizing_set):
+                return False, f"stabilize total off on {dec}, {d}"
+            if bool(result.destabilizing_set) == (d in stable):
+                return False, f"destabilizing set vs stability on {dec}, {d}"
+            if (md.destabilizing_nodes(dec, d) == ()) != (d in stable):
+                return False, f"destabilizing_nodes vs stability on {dec}, {d}"
+            if md.multidegree_of_orientation(dec, result.witness_orientation) != d:
+                return False, f"witness orientation does not realize {d} on {dec}"
+            checked += 1
     return True, f"{checked} semistable classes"
 
 
+# -- strata -------------------------------------------------------------
+
 def _check_irreducibility_predicates(fast):
     checked = 0
-    for g in connected_multigraphs(3 if fast else 4, 5 if fast else 6):
-        for dec in genus_decorations(g, 1):
-            tilde = dec.delete_edges(dec.bridges())
-            b = len(md.enumerate_stable(tilde))
-            c = len(tilde.connected_components())
-            if st.is_picard_irreducible(dec) != (b == 1):
-                return False, f"picard predicate vs class count on {dec}"
-            if st.is_theta_irreducible(dec) != (c == 1 and b == 1):
-                return False, f"theta predicate vs counting on {dec}"
-            # the valency shortcuts are sufficient conditions
-            if st.picard_valency_criterion(dec) and b != 1:
-                return False, f"valency shortcut overclaims on {dec}"
-            if st.theta_valency_criterion(dec) and not (c == 1 and b == 1):
-                return False, f"theta valency shortcut overclaims on {dec}"
-            checked += 1
+    for dec in _decorated(3 if fast else 4, 5 if fast else 6):
+        tilde = dec.delete_edges(dec.bridges())
+        b = len(md.enumerate_stable(tilde))
+        c = len(tilde.connected_components())
+        if st.is_picard_irreducible(dec) != (b == 1):
+            return False, f"picard predicate vs class count on {dec}"
+        if st.is_theta_irreducible(dec) != (c == 1 and b == 1):
+            return False, f"theta predicate vs counting on {dec}"
+        # the valency shortcuts are sufficient conditions
+        if st.picard_valency_criterion(dec) and b != 1:
+            return False, f"valency shortcut overclaims on {dec}"
+        if st.theta_valency_criterion(dec) and not (c == 1 and b == 1):
+            return False, f"theta valency shortcut overclaims on {dec}"
+        checked += 1
     return True, f"{checked} decorated graphs, both predicates"
 
 
 def _check_theta_bookkeeping(fast):
     checked = 0
-    for g in connected_multigraphs(3, 5):
-        for dec in genus_decorations(g, 1):
-            _, summary = st.theta_strata(dec)
-            bridges = dec.delete_edges(dec.bridges())
-            b = len(md.enumerate_stable(bridges))
-            c = len(bridges.connected_components())
-            if summary.component_count != c * b:
-                return False, f"component count off on {dec}"
-            # the predicate skips the strata; the summary is built from them
-            if st.is_theta_irreducible(dec) != (summary.pieces == summary.stable_classes == 1):
-                return False, f"theta predicate vs strata summary on {dec}"
-            g_total = dec.arithmetic_genus()
-            for s in st.enumerate_picard_strata(dec):
-                normalized = dec.delete_edges(s.nodes)
-                expected = (g_total - len(s.nodes)
-                            + len(normalized.connected_components()) - 1)
-                if s.dim != expected:
-                    return False, f"stratum dimension off on {dec}"
-            checked += 1
+    for dec in _decorated(3, 4 if fast else 5):
+        _, summary = st.theta_strata(dec)
+        bridges = dec.delete_edges(dec.bridges())
+        b = len(md.enumerate_stable(bridges))
+        c = len(bridges.connected_components())
+        if summary.component_count != c * b:
+            return False, f"component count off on {dec}"
+        # the predicate skips the strata; the summary is built from them
+        if st.is_theta_irreducible(dec) != (summary.pieces == summary.stable_classes == 1):
+            return False, f"theta predicate vs strata summary on {dec}"
+        g_total = dec.arithmetic_genus()
+        for s in st.enumerate_picard_strata(dec):
+            normalized = dec.delete_edges(s.nodes)
+            expected = (g_total - len(s.nodes)
+                        + len(normalized.connected_components()) - 1)
+            if s.dim != expected:
+                return False, f"stratum dimension off on {dec}"
+            if tuple(s.degree) not in md.enumerate_stable(normalized):
+                return False, f"stratum degree not stable on its normalization on {dec}"
+        checked += 1
     return True, f"{checked} decorated graphs"
 
 
+# -- cohomology of glued line bundles -----------------------------------
+
 def _check_cycle_uniqueness(fast):
-    primes = (5, 7) if fast else (5, 7, 11, 13)
     checked = 0
-    for p in primes:
-        for length in range(2, 5):
-            edges = tuple((i, (i + 1) % length) for i in range(length))
-            graph = DualGraph((0,) * length, edges)
-            branch = {}
-            for e in range(length):
-                branch[(e, 1)] = (0, 1)
-                branch[(e, 2)] = (1, 1)
-            curve = gc.GraphCurve(graph, p, branch)
+    for p in (5, 7) if fast else (5, 7, 11, 13):
+        for length in range(2, 6):
+            curve = cycle_curve(length, p)
             result = gc.w_count(curve, (0,) * length)
-            if result.count != 1:
-                return False, f"cycle length {length}, p={p}: count {result.count}"
+            if (result.count, result.total) != (1, p - 1):
+                return False, (f"cycle length {length}, p={p}: count {result.count} "
+                               f"of {result.total}")
+            if gc.h0(curve, gc.trivial_bundle(curve)) != 1:
+                return False, f"cycle length {length}, p={p}: trivial bundle h0 != 1"
             checked += 1
     return True, f"{checked} cycle curves, trivial bundle unique"
 
 
-def _check_h0_bounds_and_blowup(rng, n_instances, prime=11):
+def _check_h0_bounds_and_blowup(fast):
+    rng = random.Random(20260811)
+    n_instances, blown_up = (100 if fast else 400), 0
     for _ in range(n_instances):
-        curve = _random_curve(rng, prime)
+        curve = random_rational_curve(rng)
         E = curve.graph.num_edges
-        degrees = tuple(rng.randrange(-1, 3) for _ in range(curve.graph.num_vertices))
-        gluing = tuple(rng.randrange(1, prime) for _ in range(E))
-        bundle = gc.GluedLineBundle(degrees, gluing)
+        bundle = _random_bundle(rng, curve)
         value = gc.h0(curve, bundle)
-        upper = gc.normalization_h0(degrees)
+        upper = gc.normalization_h0(bundle.degrees)
         if not (upper - E <= value <= upper):
             return False, f"h0 bounds violated: {value} vs {upper}, {E}"
         subset = tuple(e for e in range(E) if rng.random() < 0.5)
-        exc = {e: (rng.randrange(1, prime), rng.randrange(1, prime)) for e in subset}
+        exc = {e: (rng.randrange(1, curve.prime), rng.randrange(1, curve.prime))
+               for e in subset}
         blown = gc.h0_blowup(curve, subset, bundle, exc)
         direct = gc.h0(gc.delete_edges(curve, subset),
                        gc.restrict_bundle(curve, bundle, subset))
         if blown != direct:
             return False, f"blow-up h0 {blown} != normalization h0 {direct}"
-    return True, f"{n_instances} random curve/bundle pairs"
+        blown_up += len(subset)
+    return True, f"{n_instances} random curve/bundle pairs, {blown_up} nodes blown up"
 
 
-def _check_torus_invariance(rng, n_instances, prime=11):
+def _check_torus_invariance(fast):
+    rng = random.Random(20260812)
+    n_instances, sections = (100 if fast else 400), 0
     for _ in range(n_instances):
-        curve = _random_curve(rng, prime)
-        degrees = tuple(rng.randrange(-1, 3) for _ in range(curve.graph.num_vertices))
-        gluing = tuple(rng.randrange(1, prime) for _ in range(curve.graph.num_edges))
-        bundle = gc.GluedLineBundle(degrees, gluing)
-        scalars = tuple(rng.randrange(1, prime) for _ in range(curve.graph.num_vertices))
-        if gc.h0(curve, bundle) != gc.h0(curve, gc.torus_rescale(curve, bundle, scalars)):
+        curve = random_rational_curve(rng)
+        bundle = _random_bundle(rng, curve)
+        scalars = tuple(rng.randrange(1, curve.prime) for _ in range(curve.graph.num_vertices))
+        value = gc.h0(curve, bundle)
+        if value != gc.h0(curve, gc.torus_rescale(curve, bundle, scalars)):
             return False, "h0 changed under a torus rescale"
-    return True, f"{n_instances} random rescalings"
+        sections += value
+    return True, f"{n_instances} random rescalings, total h0 {sections}"
 
 
 def _check_semistable_h0_identity(fast):
@@ -367,14 +413,14 @@ def _check_semistable_h0_identity(fast):
     return True, f"{checked} semistable classes"
 
 
-def _check_one_node_cases(rng, attempts=250, prime=13):
+def _check_one_node_cases(fast):
+    rng = random.Random(20260813)
+    attempts = 250
     seen: dict[str, int] = {}
     for _ in range(attempts):
-        curve = _random_curve(rng, prime)
+        curve = random_rational_curve(rng, 13)
         edge = rng.randrange(curve.graph.num_edges)
-        degrees = tuple(rng.randrange(-1, 3) for _ in range(curve.graph.num_vertices))
-        gluing = tuple(rng.randrange(1, prime) for _ in range(curve.graph.num_edges))
-        bundle = gc.GluedLineBundle(degrees, gluing)
+        bundle = _random_bundle(rng, curve)
         report = gc.classify_one_node(curve, edge, bundle, r=0)
         scanned = brute_node_scan(curve, edge, bundle)
         if (report.scan_histogram, report.special_gluing) != scanned:
@@ -383,12 +429,14 @@ def _check_one_node_cases(rng, attempts=250, prime=13):
         seen[report.case] = seen.get(report.case, 0) + 1
     if len(seen) < 3:
         return False, f"random search hit too few cases: {sorted(seen)}"
-    return True, f"{attempts} instances over cases {sorted(seen)}"
+    return True, f"{attempts} instances, by case {dict(sorted(seen.items()))}"
 
 
-def _check_abel_images(rng, n_instances, prime=11):
+def _check_abel_images(fast):
+    rng = random.Random(20260814)
+    n_instances, checked = (60 if fast else 200), 0
     for _ in range(n_instances):
-        curve = _random_curve(rng, prime)
+        curve = random_rational_curve(rng)
         stable = md.enumerate_stable(curve.graph)
         if not stable:
             continue
@@ -396,55 +444,52 @@ def _check_abel_images(rng, n_instances, prime=11):
         if any(x < 0 for x in d):
             continue
         points = []
-        ok = True
         for v, dv in enumerate(d):
             avail = curve.smooth_points_of(v)
             if len(avail) < dv:
-                ok = False
                 break
             points.extend((v, pt) for pt in rng.sample(avail, dv))
-        if not ok:
-            continue
-        bundle = gc.abel_image(curve, points)
-        if gc.h0(curve, bundle) < 1:
-            return False, "Abel image without sections"
-        forced = gc.forced_vanishing_nodes(curve, bundle,
-                                           range(curve.graph.num_edges))
-        if forced.nodes:
-            return False, f"stable Abel image with forced vanishing {forced.nodes}"
-    return True, f"{n_instances} sampled Abel images"
+        else:
+            bundle = gc.abel_image(curve, points)
+            if gc.h0(curve, bundle) < 1:
+                return False, "Abel image without sections"
+            forced = gc.forced_vanishing_nodes(curve, bundle,
+                                               range(curve.graph.num_edges))
+            if forced.nodes:
+                return False, f"stable Abel image with forced vanishing {forced.nodes}"
+            checked += 1
+    return True, f"{checked} Abel images from {n_instances} sampled curves"
+
+
+INVARIANTS = {
+    "genus-identities": _check_genus_identities,
+    "bridges-vs-removal-oracle": _check_bridges,
+    "spanning-forest": _check_spanning_forest,
+    "definition-equivalence": _check_definition_equivalence,
+    "scalar-predicates": _check_single_predicates,
+    "stable-empty-iff-bridge": _check_bridge_dichotomy,
+    "stable-nonnegative": _check_stable_nonnegative,
+    "orientation-totals": _check_orientation_totals,
+    "stabilization": _check_stabilize,
+    "irreducibility-predicates": _check_irreducibility_predicates,
+    "theta-bookkeeping": _check_theta_bookkeeping,
+    "cycle-trivial-bundle-unique": _check_cycle_uniqueness,
+    "h0-bounds-and-blowup": _check_h0_bounds_and_blowup,
+    "torus-invariance": _check_torus_invariance,
+    "semistable-h0-identity": _check_semistable_h0_identity,
+    "one-node-case-oracle": _check_one_node_cases,
+    "abel-images": _check_abel_images,
+}
 
 
 def run_selfcheck(fast: bool = False):
-    """Run every invariant; returns (name, ok, detail) triples."""
-    rng = random.Random(20260810)
-    small = 100 if fast else 400
-    checks = [
-        ("genus-identities", lambda: _check_genus_identities(rng, small)),
-        ("bridges-vs-removal-oracle", lambda: _check_bridges(fast)),
-        ("spanning-forest", lambda: _check_spanning_forest(rng, small)),
-        ("definition-equivalence", lambda: _check_definition_equivalence(fast)),
-        ("scalar-predicates", lambda: _check_single_predicates(fast, rng)),
-        ("stable-empty-iff-bridge", lambda: _check_bridge_dichotomy(fast)),
-        ("stable-nonnegative", lambda: _check_stable_nonnegative(fast)),
-        ("orientation-totals", lambda: _check_orientation_totals(rng, small)),
-        ("stabilization", lambda: _check_stabilize(fast)),
-        ("irreducibility-predicates",
-         lambda: _check_irreducibility_predicates(fast)),
-        ("theta-bookkeeping", lambda: _check_theta_bookkeeping(fast)),
-        ("cycle-trivial-bundle-unique", lambda: _check_cycle_uniqueness(fast)),
-        ("h0-bounds-and-blowup",
-         lambda: _check_h0_bounds_and_blowup(rng, small)),
-        ("torus-invariance", lambda: _check_torus_invariance(rng, small)),
-        ("semistable-h0-identity", lambda: _check_semistable_h0_identity(fast)),
-        ("one-node-case-oracle", lambda: _check_one_node_cases(rng)),
-        ("abel-images", lambda: _check_abel_images(rng, 60 if fast else 200)),
-    ]
+    """Run every invariant; returns (name, ok, detail, seconds) tuples."""
     results = []
-    for name, fn in checks:
+    for name, check in INVARIANTS.items():
+        start = time.perf_counter()
         try:
-            ok, detail = fn()
+            ok, detail = check(fast)
         except Exception as exc:  # a raised invariant is a failure, not a crash
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
+        results.append((name, ok, detail, time.perf_counter() - start))
     return results

@@ -1,19 +1,21 @@
 """Shared brute-force oracles and small builders for the test suite.
 
-The oracles here deliberately avoid the library's algorithms: component
-counts by path search, bridges by per-edge removal and one node's h^0
-at every gluing scalar (shared with the ``selfcheck`` battery),
-stability of degrees and of orientations and the destabilizing nodes
-by scanning every subset (not only connected ones),
-determinants and matrix rank by minor expansion, the irreducible factors
-of a multilinear polynomial by scanning its variable bipartitions, theta
-stratum dimensions by normalizing once per stratum.
+The oracles here deliberately avoid the library's algorithms: stability
+of degrees and of orientations and the destabilizing nodes by scanning
+every subset (not only connected ones), determinants and matrix rank by
+minor expansion, the irreducible factors of a multilinear polynomial by
+scanning its variable bipartitions, theta stratum dimensions by
+normalizing once per stratum, primality by trial division.  The
+component-count, bridge and one-node oracles and the random and cycle
+curve builders live in ``nodaltheta.selfcheck``, whose invariant
+registry uses them too; they are re-exported here.
 Expected values frozen in the tests were computed with these.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -24,6 +26,8 @@ from nodaltheta.selfcheck import (  # noqa: F401
     brute_bridges,
     brute_component_count,
     brute_node_scan,
+    cycle_curve,
+    random_rational_curve,
 )
 
 
@@ -156,6 +160,11 @@ def brute_rank(rows, p: int) -> int:
     return 0
 
 
+def brute_is_prime(n: int) -> bool:
+    """Primality by trial division (small n only)."""
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
 def brute_factor_count(terms, p: int):
     """Irreducible factors of a multilinear polynomial over F_p, by scanning
     every subset A of the variables that occur.  The factors have disjoint
@@ -188,16 +197,6 @@ def brute_factor_count(terms, p: int):
 
 # -- curve builders -----------------------------------------------------
 
-def cycle_curve(length: int, prime: int) -> GraphCurve:
-    edges = tuple((i, (i + 1) % length) for i in range(length))
-    graph = DualGraph((0,) * length, edges)
-    branch = {}
-    for e in range(length):
-        branch[(e, 1)] = (0, 1)
-        branch[(e, 2)] = (1, 1)
-    return GraphCurve(graph, prime, branch)
-
-
 def theta_curve(prime: int) -> GraphCurve:
     graph = DualGraph((0, 0), ((0, 1), (0, 1), (0, 1)))
     branch = {(0, 1): (0, 1), (0, 2): (0, 1),
@@ -211,39 +210,6 @@ def two_cycle_curve(prime: int) -> GraphCurve:
     branch = {(0, 1): (0, 1), (0, 2): (0, 1),
               (1, 1): INFINITY, (1, 2): INFINITY}
     return GraphCurve(graph, prime, branch)
-
-
-def random_rational_curve(rng: random.Random, prime=11, max_v=3, max_e=4) -> GraphCurve:
-    """Random small connected all-rational curve with distinct branch points."""
-    while True:
-        n = rng.randrange(1, max_v + 1)
-        edges = [(rng.randrange(v), v) for v in range(1, n)]
-        for _ in range(rng.randrange(0 if edges else 1, max_e - len(edges) + 1)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            edges.append((min(u, v), max(u, v)))
-        if not edges:
-            continue
-        graph = DualGraph((0,) * n, tuple(edges))
-        if any(graph.valency(v) > prime for v in range(n)):
-            continue
-        branch = {}
-        used = [set() for _ in range(n)]
-        ok = True
-        for e, (u, v) in enumerate(graph.edges):
-            for side, vert in ((1, u), (2, v)):
-                free = [(a, 1) for a in range(prime) if (a, 1) not in used[vert]]
-                if INFINITY not in used[vert]:
-                    free.append(INFINITY)
-                if not free:
-                    ok = False
-                    break
-                pt = rng.choice(free)
-                used[vert].add(pt)
-                branch[(e, side)] = pt
-            if not ok:
-                break
-        if ok:
-            return GraphCurve(graph, prime, branch)
 
 
 @pytest.fixture

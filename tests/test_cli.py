@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from nodaltheta import multidegree
-from nodaltheta.cli import run
+from hypothesis import given, settings, strategies as st
+
+from nodaltheta import multidegree, selfcheck
+from nodaltheta.cli import SpecError, parse_curve, run
+from nodaltheta.modp import PRIMALITY_LIMIT
 
 
 THETA_SPEC = {
@@ -155,6 +159,15 @@ class TestCommands:
             capsys, ["h0", theta_spec, "--degrees", "0,0", "--gluing", "1,1,1"])
         assert code == 0
         assert report["results"]["h0"] == 1
+
+    def test_h0_at_mersenne_prime_61(self, capsys, tmp_path):
+        path = tmp_path / "m61.json"
+        path.write_text(json.dumps(dict(THETA_SPEC, field_prime=2 ** 61 - 1)))
+        code, report = run_json(
+            capsys, ["h0", str(path), "--degrees", "0,1", "--gluing", "1,1,1"])
+        assert code == 0
+        assert report["results"] == {"h0": 1, "prime": 2 ** 61 - 1,
+                                     "degrees": [0, 1], "gluing": [1, 1, 1]}
 
     def test_wcount_multi_prime(self, capsys, theta_spec):
         code, report = run_json(
@@ -367,6 +380,15 @@ class TestErrors:
         assert run(["wcount", theta_spec, "--degrees", "0,1", "--primes", raw]) == 2
         assert capsys.readouterr().err == f"spec error: --primes: {message}\n"
 
+    def test_prime_past_primality_limit(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(THETA_SPEC, field_prime=PRIMALITY_LIMIT)))
+        assert run(["h0", str(path), "--degrees", "0,1", "--gluing", "1,1,1"]) == 2
+        assert capsys.readouterr().err.startswith("spec error: field_prime: ")
+        assert run(["wcount", str(path), "--degrees", "0,1",
+                    "--primes", f"5,{PRIMALITY_LIMIT}"]) == 2
+        assert capsys.readouterr().err.startswith("spec error: --primes: ")
+
     def test_sample_mode_needs_seed(self, capsys, theta_spec):
         assert run(["wcount", theta_spec, "--degrees", "0,1",
                     "--mode", "sample", "--samples", "10"]) == 2
@@ -411,16 +433,89 @@ class TestErrors:
         assert captured.out == "" and "--format" in captured.err
 
 
+# small JSON values of every kind, for the entries a spec gets wrong
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def curve_specs(draw):
+    """A well-formed curve spec with up to two entries replaced by any
+    JSON value or dropped; one time in ten, any JSON value at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(json_values)
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+    edges = draw(st.lists(st.lists(index, min_size=2, max_size=2), max_size=4))
+    point = st.lists(st.integers(0, 12), min_size=2, max_size=2)
+    spec = {
+        "vertices": [{"genus": 0} for _ in range(n)],
+        "edges": edges,
+        "field_prime": draw(st.sampled_from([2, 3, 5, 7, 11, 13]) | st.integers(-2, 2 ** 64)),
+        "branch_points": {str(e): draw(st.lists(point, min_size=2, max_size=2))
+                          for e in range(len(edges))},
+    }
+    entries = [(spec, key) for key in spec]
+    entries += [(spec["vertices"], v) for v in range(n)]
+    entries += [(vertex, "genus") for vertex in spec["vertices"]]
+    entries += [(spec["edges"], e) for e in range(len(edges))]
+    entries += [(spec["branch_points"], key) for key in spec["branch_points"]]
+    entries += [(pair, side) for pair in spec["branch_points"].values() for side in (0, 1)]
+    for container, key in draw(st.lists(st.sampled_from(entries), max_size=2)):
+        if isinstance(container, dict) and draw(st.booleans()):
+            container.pop(key, None)
+        else:
+            container[key] = draw(json_values)
+    return spec
+
+
+FIELD_PATH = re.compile(
+    r"\$|(vertices|edges|field_prime|branch_points)(\[\d+\]|\.\w+)*")
+
+
+class TestSpecBoundary:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec=curve_specs())
+    def test_parses_or_names_a_field(self, spec, tmp_path_factory):
+        # parse_curve runs parse_graph first, and h0 runs parse_curve
+        try:
+            parse_curve(spec)
+        except SpecError as exc:
+            assert FIELD_PATH.fullmatch(exc.path), exc.path
+            path = tmp_path_factory.getbasetemp() / "fuzzed-spec.json"
+            path.write_text(json.dumps(spec))
+            assert run(["h0", str(path), "--degrees", "0", "--gluing", "1"]) == 2
+
+
 class TestSelfcheckCommand:
-    def test_fresh_checkout_passes(self, capsys):
-        assert run(["selfcheck", "--fast"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
+    def test_fresh_checkout_passes(self, capsys, monkeypatch):
+        # test_invariants.py runs the registry itself; this checks the report
+        def broken(fast):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(selfcheck, "INVARIANTS", {
+            "holds": lambda fast: (True, f"fast={fast}"),
+            "fails": lambda fast: (False, "counterexample"),
+            "raises": broken,
+        })
+        assert run(["selfcheck", "--fast"]) == 1
+        out, timed = re.subn(r"  \[\d+\.\d\d s\]\n", "\n", capsys.readouterr().out)
+        assert timed == 3
+        assert out == ("PASS  holds  fast=True\n"
+                       "FAIL  fails  counterexample\n"
+                       "FAIL  raises  raised ZeroDivisionError: boom\n"
+                       "1/3 invariants passed\n")
 
     def test_mutated_predicate_is_caught(self, capsys, monkeypatch):
-        # swap the strictness convention: the definition-equivalence
-        # invariants must notice
+        # swap the strictness convention: the scalar predicates must notice
+        monkeypatch.setattr(selfcheck, "INVARIANTS",
+                            {"scalar-predicates": selfcheck.INVARIANTS["scalar-predicates"]})
         monkeypatch.setattr(multidegree, "is_semistable", multidegree.is_stable)
         assert run(["selfcheck", "--fast"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out
+        assert out.startswith("FAIL  scalar-predicates  is_semistable disagrees at ")

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from conftest import brute_bridges, brute_component_count
@@ -71,10 +69,6 @@ class TestConnectivity:
         assert brute_component_count(stripped) == 2
         assert len(stripped.connected_components()) == 2
 
-    def test_matches_brute_force_on_family(self):
-        for graph in connected_multigraphs(3, 4):
-            assert len(graph.connected_components()) == brute_component_count(graph)
-
 
 class TestBridges:
     def test_cycle_has_none(self):
@@ -94,11 +88,6 @@ class TestBridges:
 
     def test_parallel_edges_never_bridges(self):
         assert BANANA.bridges() == ()
-
-    def test_exhaustive_vs_removal_oracle(self):
-        # all connected multigraphs up to 6 edges
-        for graph in connected_multigraphs(4, 6):
-            assert graph.bridges() == brute_bridges(graph), graph.edges
 
 
 class TestDeleteEdges:
@@ -120,13 +109,6 @@ class TestDeleteEdges:
         with pytest.raises(ValueError, match="invalid edge index"):
             THETA.delete_edges({3})
 
-    def test_genus_drop_identity_on_family(self):
-        for graph in connected_multigraphs(3, 4):
-            for bits in range(1 << graph.num_edges):
-                subset = {e for e in range(graph.num_edges) if bits >> e & 1}
-                assert (graph.delete_edges(subset).arithmetic_genus()
-                        == graph.arithmetic_genus() - len(subset))
-
 
 class TestBlowUp:
     def test_two_cycle_becomes_triangle(self):
@@ -147,16 +129,6 @@ class TestBlowUp:
         blown, exceptional = THETA.blow_up(set())
         assert blown == THETA and exceptional == {}
 
-    def test_genus_and_components_preserved_on_family(self):
-        for graph in connected_multigraphs(3, 4):
-            for bits in range(1 << graph.num_edges):
-                subset = {e for e in range(graph.num_edges) if bits >> e & 1}
-                blown, exceptional = graph.blow_up(subset)
-                assert blown.arithmetic_genus() == graph.arithmetic_genus()
-                assert len(exceptional) == len(subset)
-                assert (brute_component_count(blown)
-                        == brute_component_count(graph))
-
 
 class TestSpanningForest:
     def test_tree_keeps_all_edges(self):
@@ -169,14 +141,6 @@ class TestSpanningForest:
     def test_loop_never_selected(self):
         graph = DualGraph((0, 0, 0), ((0, 0), (0, 1), (1, 2), (0, 2)))
         assert graph.spanning_forest() == (1, 2)
-
-    def test_acyclic_and_spanning_on_family(self):
-        for graph in connected_multigraphs(4, 5):
-            forest = graph.spanning_forest()
-            sub = DualGraph(graph.genera, tuple(graph.edges[e] for e in forest))
-            assert brute_component_count(sub) == brute_component_count(graph)
-            # a maximal acyclic set on k vertices and c components has k - c edges
-            assert len(forest) == graph.num_vertices - brute_component_count(graph)
 
 
 class TestStrip:

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from conftest import (
-    brute_rank,
     cycle_curve,
     random_rational_curve,
     theta_curve,
@@ -17,11 +16,9 @@ from nodaltheta.graph_curve import (
     INFINITY,
     BudgetExceededError,
     BudgetSettingError,
-    EffectiveNodeDivisor,
     GluedLineBundle,
     GraphCurve,
     abel_image,
-    admissible_divisors,
     canonical_point,
     delete_edges,
     evaluate_form,
@@ -30,18 +27,13 @@ from nodaltheta.graph_curve import (
     free_gluing_edges,
     h0,
     h0_blowup,
-    imposes_independent_conditions,
-    is_admissible,
-    normalization_h0,
     rank_budget,
     restrict_bundle,
     section_space,
-    torus_rescale,
     tree_normalize,
     trivial_bundle,
     w_count,
 )
-from nodaltheta.multidegree import enumerate_stable, is_semistable
 
 
 def brute_h0(curve, bundle):
@@ -133,26 +125,6 @@ class TestH0:
             bundle = GluedLineBundle(degrees, gluing)
             assert h0(curve, bundle) == brute_h0(curve, bundle)
 
-    def test_bounds_hold(self, rng):
-        for _ in range(300):
-            curve = random_rational_curve(rng)
-            e = curve.graph.num_edges
-            degrees = tuple(
-                rng.randrange(-1, 3) for _ in range(curve.graph.num_vertices)
-            )
-            gluing = tuple(rng.randrange(1, 11) for _ in range(e))
-            value = h0(curve, GluedLineBundle(degrees, gluing))
-            upper = normalization_h0(degrees)
-            assert upper - e <= value <= upper
-
-    def test_semistable_square_identity(self):
-        # with a semistable multidegree of total g - 1 on an all-rational
-        # curve, the normalization h0 equals the number of nodes
-        curve = theta_curve(11)
-        for d in [(-1, 2), (0, 1), (1, 0), (2, -1)]:
-            assert is_semistable(curve.graph, d)
-            assert normalization_h0(d) == curve.graph.num_edges
-
     def test_vanishing_conditions_are_vandermonde(self):
         curve = two_cycle_curve(11)
         bundle = GluedLineBundle((3, -1), (1, 1))
@@ -215,24 +187,6 @@ class TestBlowUp:
         bundle = GluedLineBundle((1, 0), (3, 4, 5))
         assert h0_blowup(curve, (), bundle) == h0(curve, bundle)
 
-    def test_equality_on_random_instances(self, rng):
-        for _ in range(300):
-            curve = random_rational_curve(rng)
-            e = curve.graph.num_edges
-            degrees = tuple(
-                rng.randrange(-1, 3) for _ in range(curve.graph.num_vertices)
-            )
-            gluing = tuple(rng.randrange(1, 11) for _ in range(e))
-            bundle = GluedLineBundle(degrees, gluing)
-            subset = tuple(x for x in range(e) if rng.random() < 0.5)
-            exceptional = {
-                x: (rng.randrange(1, 11), rng.randrange(1, 11)) for x in subset
-            }
-            lhs = h0_blowup(curve, subset, bundle, exceptional)
-            rhs = h0(delete_edges(curve, subset),
-                     restrict_bundle(curve, bundle, subset))
-            assert lhs == rhs
-
 
 class TestAbelImage:
     def test_always_has_a_section(self, rng):
@@ -285,16 +239,6 @@ class TestForcedVanishing:
 
 
 class TestWCount:
-    @pytest.mark.parametrize("p", [5, 7, 11, 13])
-    @pytest.mark.parametrize("length", [2, 3, 4, 5])
-    def test_trivial_class_unique_on_cycles(self, p, length):
-        curve = cycle_curve(length, p)
-        result = w_count(curve, (0,) * length)
-        assert result.count == 1
-        assert result.total == p - 1
-        # and that unique class has exactly one section
-        assert h0(curve, trivial_bundle(curve)) == 1
-
     def test_free_edges_off_forest(self):
         curve = theta_curve(5)
         assert free_gluing_edges(curve) == (1, 2)
@@ -399,22 +343,6 @@ class TestWCount:
 
 
 class TestTorusAction:
-    def test_h0_invariant(self, rng):
-        for _ in range(300):
-            curve = random_rational_curve(rng)
-            degrees = tuple(
-                rng.randrange(-1, 3) for _ in range(curve.graph.num_vertices)
-            )
-            gluing = tuple(
-                rng.randrange(1, 11) for _ in range(curve.graph.num_edges)
-            )
-            bundle = GluedLineBundle(degrees, gluing)
-            scalars = tuple(
-                rng.randrange(1, 11) for _ in range(curve.graph.num_vertices)
-            )
-            assert h0(curve, bundle) == h0(
-                curve, torus_rescale(curve, bundle, scalars))
-
     def test_tree_normalize(self, rng):
         for _ in range(50):
             curve = random_rational_curve(rng)
@@ -430,82 +358,6 @@ class TestTorusAction:
             for e in curve.graph.spanning_forest():
                 assert normalized.gluing[e] == 1
             assert h0(curve, bundle) == h0(curve, normalized)
-
-
-class TestAdmissibleDivisors:
-    def test_empty_support(self):
-        curve = theta_curve(11)
-        divisors = admissible_divisors(curve, (0, 1), ())
-        assert divisors == [EffectiveNodeDivisor(half_edges=())]
-
-    def test_single_loop_degree_one(self):
-        graph = DualGraph((0,), ((0, 0),))
-        curve = GraphCurve(graph, 7, {(0, 1): (0, 1), (0, 2): (1, 1)})
-        divisors = admissible_divisors(curve, (1,), ((0, 1), (0, 2)))
-        # multiplicities (m1, m2) with m1 + m2 <= 2: six assignments
-        assert len(divisors) == 6
-        assert all(d.total_degree() <= 2 for d in divisors)
-
-    def test_one_branch_per_node_divisor_admissible(self):
-        # the ending half-edges of an orientation realizing a semistable
-        # multidegree give a one-branch-per-node divisor that is always
-        # admissible (its degree per component is exactly d_v + 1 there)
-        from nodaltheta.multidegree import enumerate_semistable, stabilize
-
-        curve = theta_curve(11)
-        for d in enumerate_semistable(curve.graph):
-            witness = stabilize(curve.graph, d).witness_orientation
-            halves = tuple(
-                ((e, 2 if witness[e] == 0 else 1), 1) for e in range(3)
-            )
-            divisor = EffectiveNodeDivisor(half_edges=halves)
-            assert is_admissible(curve, d, divisor) is True
-            assert divisor in admissible_divisors(
-                curve, d, tuple(he for he, _ in halves))
-            assert imposes_independent_conditions(curve, d, divisor) is True
-
-    def test_rejects_negative_multiplicity(self):
-        curve = theta_curve(11)
-        with pytest.raises(ValueError):
-            is_admissible(curve, (0, 1),
-                          EffectiveNodeDivisor(half_edges=(((0, 1), -1),)))
-
-
-class TestIndependentConditions:
-    def test_zero_divisor(self):
-        curve = theta_curve(11)
-        zero = EffectiveNodeDivisor(half_edges=())
-        assert imposes_independent_conditions(curve, (0, 1), zero) is True
-
-    def test_distinct_points_within_degree(self):
-        graph = DualGraph((0,), ((0, 0), (0, 0)))
-        branch = {(0, 1): (0, 1), (0, 2): (1, 1),
-                  (1, 1): (2, 1), (1, 2): (3, 1)}
-        curve = GraphCurve(graph, 11, branch)
-        divisor = EffectiveNodeDivisor(
-            half_edges=(((0, 1), 1), ((0, 2), 1), ((1, 1), 1))
-        )
-        assert imposes_independent_conditions(curve, (3,), divisor) is True
-
-    def test_excess_multiplicity_fails(self):
-        graph = DualGraph((0,), ((0, 0),))
-        curve = GraphCurve(graph, 11, {(0, 1): (0, 1), (0, 2): (1, 1)})
-        heavy = EffectiveNodeDivisor(half_edges=(((0, 1), 4),))
-        # degree 4 > h0 = 3 on the component: inadmissible, so False
-        assert imposes_independent_conditions(curve, (2,), heavy) is False
-
-    def test_rank_agrees_with_minor_oracle(self, rng):
-        curve = theta_curve(13)
-        for _ in range(20):
-            d = rng.randrange(0, 3)
-            pts = rng.sample(range(13), 3)
-            rows = []
-            for a in pts:
-                row = [pow(a, i, 13) for i in range(d + 1)]
-                rows.append(row)
-            from nodaltheta.modp import rank
-
-            assert rank(rows, 13) == brute_rank(rows, 13)
 
 
 class TestFitExponent:

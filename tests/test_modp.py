@@ -4,8 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from conftest import brute_det
-from nodaltheta.modp import batch_rank, determinant, rank, stack_dtype
+from conftest import brute_det, brute_is_prime, brute_rank
+from nodaltheta.modp import (
+    PRIMALITY_LIMIT,
+    batch_rank,
+    determinant,
+    is_prime,
+    rank,
+    stack_dtype,
+)
 
 # 2^61 - 1 overflows int64 products: only exact integers get it right
 PRIMES = [2, 3, 11, 2147483659, 2 ** 61 - 1]
@@ -82,3 +89,31 @@ def test_determinant_of_scaled_permutation(p):
 def test_determinant_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         determinant([[1, 2, 3], [4, 5, 6]], 7)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_matches_minor_oracle(p):
+    rng = random.Random(p)
+    for trial in range(60):
+        rows = random_matrix(rng, p, rng.randrange(1, 5), rng.randrange(1, 5), trial % 2 == 0)
+        assert rank(rows, p) == brute_rank(rows, p)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n) != brute_is_prime(n)] == []
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    strong_pseudoprimes = [2047, 3215031751, 3825123056546413051, 318665857834031151167461]
+    carmichael = [561, 41041]
+    assert not any(is_prime(n) for n in strong_pseudoprimes + carmichael + [2 ** 64 - 57])
+    assert all(is_prime(p) for p in PRIMES + [2 ** 64 - 59])
+
+
+def test_is_prime_refuses_past_the_limit():
+    # the limit is composite, yet a strong probable prime to every base
+    assert PRIMALITY_LIMIT == 1287836182261 * 2575672364521
+    assert is_prime(1287836182261) and is_prime(2575672364521)
+    for n in (PRIMALITY_LIMIT, PRIMALITY_LIMIT + 2):
+        with pytest.raises(ValueError, match="primality limit"):
+            is_prime(n)

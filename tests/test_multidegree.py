@@ -13,14 +13,8 @@ from conftest import (
     disjoint_union,
 )
 from nodaltheta.dual_graph import DualGraph
-from nodaltheta.families import (
-    connected_multigraphs,
-    genus_decorations,
-    orientation_multidegree_sets,
-    translate,
-)
+from nodaltheta.families import connected_multigraphs, genus_decorations
 from nodaltheta.multidegree import (
-    brill_noether_number,
     degree_box,
     destabilizing_nodes,
     enumerate_semistable,
@@ -362,11 +356,6 @@ class TestDestabilizingNodes:
         result = stabilize(graph, (-1, 2))
         assert result.stable_degree == (-1, -1)
 
-    def test_empty_iff_stable_on_family(self):
-        for graph in connected_multigraphs(3, 5):
-            for d in enumerate_semistable(graph):
-                assert (destabilizing_nodes(graph, d) == ()) == is_stable(graph, d)
-
 
 class TestStabilize:
     @pytest.mark.parametrize("g1,g2", [(1, 2), (2, 3)])
@@ -388,19 +377,6 @@ class TestStabilize:
         assert result.destabilizing_set == ()
         assert result.stable_degree == (0, 1)
 
-    def test_invariants_on_family(self):
-        for graph in connected_multigraphs(3, 5):
-            for dec in genus_decorations(graph, 1):
-                for d in enumerate_semistable(dec):
-                    result = stabilize(dec, d)
-                    normalized = dec.delete_edges(result.destabilizing_set)
-                    assert brute_is_stable(normalized, result.stable_degree)
-                    assert (sum(result.stable_degree)
-                            == sum(d) - len(result.destabilizing_set))
-                    realized = multidegree_of_orientation(
-                        dec, result.witness_orientation)
-                    assert realized == d
-
     def test_matches_equality_subcurve_oracle(self):
         for graph in connected_multigraphs(3, 5):
             for dec in genus_decorations(graph, 1):
@@ -412,34 +388,7 @@ class TestStabilize:
                     assert destabilizing_nodes(dec, d) == result.destabilizing_set
 
 
-class TestBrillNoether:
-    def test_values(self):
-        for g in (2, 5, 9):
-            assert brill_noether_number(g, 0, g - 1) == g - 1
-            assert brill_noether_number(g, 1, g - 1) == g - 4
-        assert brill_noether_number(3, 1, 2) == -1
-
-
 class TestDefinitionEquivalence:
-    def test_small_family(self):
-        # full-size run lives in the acceptance suite
-        for graph in connected_multigraphs(3, 5):
-            all_d, stable_d = orientation_multidegree_sets(graph)
-            for dec in genus_decorations(graph, 1):
-                genera = dec.genera
-                assert (sorted(translate(d, genera) for d in all_d)
-                        == enumerate_semistable(dec))
-                assert (sorted(translate(d, genera) for d in stable_d)
-                        == enumerate_stable(dec))
-
-    def test_stable_nonnegative_when_genus_positive(self):
-        for graph in connected_multigraphs(3, 5):
-            for dec in genus_decorations(graph, 1):
-                if dec.arithmetic_genus() < 1:
-                    continue
-                for d in enumerate_stable(dec):
-                    assert all(x >= 0 for x in d)
-
     def test_trivial_curve_exception(self):
         # a single genus-0 vertex has total degree -1: the one legitimate
         # negative stable class

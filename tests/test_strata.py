@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 from math import comb
@@ -76,17 +75,6 @@ class TestPicardStrata:
         strata = enumerate_picard_strata(theta_graph())
         keys = [(len(s.nodes), s.nodes, s.degree) for s in strata]
         assert keys == sorted(keys)
-
-    def test_dimension_formula_on_family(self):
-        for graph in connected_multigraphs(3, 4):
-            for dec in genus_decorations(graph, 1):
-                g = dec.arithmetic_genus()
-                for s in enumerate_picard_strata(dec):
-                    normalized = dec.delete_edges(s.nodes)
-                    expected = (g - len(s.nodes)
-                                + len(normalized.connected_components()) - 1)
-                    assert s.dim == expected
-                    assert tuple(s.degree) in set(enumerate_stable(normalized))
 
 
 class TestSmoothLocus:
@@ -266,14 +254,6 @@ class TestIrreducibility:
         two_cycles = DualGraph((0,) * 16, cycle + tuple((u + 8, v + 8) for u, v in cycle))
         assert is_picard_irreducible(two_cycles) is True
         assert is_theta_irreducible(two_cycles) is False
-
-    def test_valency_criteria_sufficient(self):
-        for graph in connected_multigraphs(3, 5):
-            for dec in genus_decorations(graph, 1):
-                if picard_valency_criterion(dec):
-                    assert is_picard_irreducible(dec)
-                if theta_valency_criterion(dec):
-                    assert is_theta_irreducible(dec)
 
     def test_star_of_bananas_breaks_valency_converse(self):
         """One component meeting two others in 2 nodes each has a unique
