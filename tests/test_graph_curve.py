@@ -239,6 +239,16 @@ class TestForcedVanishing:
 
 
 class TestWCount:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("length", [2, 3, 4, 5])
+    def test_trivial_class_unique_on_cycles(self, p, length):
+        curve = cycle_curve(length, p)
+        result = w_count(curve, (0,) * length)
+        assert result.count == 1
+        assert result.total == p - 1
+        # and that unique class has exactly one section
+        assert h0(curve, trivial_bundle(curve)) == 1
+
     def test_free_edges_off_forest(self):
         curve = theta_curve(5)
         assert free_gluing_edges(curve) == (1, 2)
