@@ -250,21 +250,6 @@ class DualGraph:
         return self.delete_edges(drop)
 
 
-# -- half-edges -------------------------------------------------------
-
-def half_edges(graph: DualGraph) -> tuple[tuple[int, int], ...]:
-    """All half-edges as ``(edge, side)`` pairs, side in {1, 2}."""
-    return tuple((e, s) for e in range(graph.num_edges) for s in (1, 2))
-
-
-def half_edge_vertex(graph: DualGraph, half_edge: tuple[int, int]) -> int:
-    """Vertex the half-edge attaches to; side 1 is ``edges[e][0]``."""
-    e, side = half_edge
-    if side not in (1, 2):
-        raise ValueError(f"half-edge side must be 1 or 2, got {side}")
-    return graph.edges[e][side - 1]
-
-
 # -- subcurve enumeration ---------------------------------------------
 
 @lru_cache(maxsize=4096)

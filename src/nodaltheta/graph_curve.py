@@ -539,8 +539,9 @@ class WCountResult:
     seed: int | None = None
 
 
-#: Matrix entries per stacked elimination in a torus scan (64 KB per int64
-#: array), so a scan's working set stays small whatever the torus size.
+#: Cells per numpy chunk of a torus scan: matrix entries per stacked
+#: elimination, or polynomial coefficients per batch of evaluations (64 KB
+#: per int64 array), so a scan's working set stays small whatever its size.
 CHUNK_CELLS = 1 << 13
 
 
@@ -549,23 +550,29 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
             budget: int | None = None) -> WCountResult:
     """Count tree-normalized gluing vectors whose bundle has h^0 >= r + 1.
 
-    Exhaustive mode scans the whole torus (F_p*)^k over the free edges and
-    refuses loudly when the scan would exceed the rank-computation budget;
-    sample mode draws seeded uniform vectors instead.  Points are ranked
-    in chunks of at most ``CHUNK_CELLS`` matrix entries by one stacked
-    elimination each, so memory stays bounded whatever the torus size.
+    Exhaustive mode covers the whole torus (F_p*)^k over the free edges and
+    refuses loudly when its (p - 1)^k points exceed the rank-computation
+    budget, whichever path then counts them; sample mode draws seeded
+    uniform vectors instead.
+
+    With r = 0 and a square system (``normalization_h0(degrees)`` equal to
+    the number of nodes) the bundles counted are the zeros of the theta
+    determinant.  When its 2^k determinants are fewer than the points, the
+    count is read off it: ``ThetaPolynomial.zero_count`` over the torus, or
+    its values at the same seeded draws.  Otherwise ``rank_scan`` ranks
+    every point: for r >= 1, for non-square degrees, and when the points
+    are too few (p <= 3, no free edge, or at most 2^k samples).
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
     p = curve.prime
-    free = free_gluing_edges(curve)
-    k = len(free)
+    k = len(free_gluing_edges(curve))
+    rng = used_seed = None
     if mode == "exhaustive":
         total = (p - 1) ** k
         limit = budget if budget is not None else rank_budget()
         if total > limit:
             raise BudgetExceededError(total, limit)
-        used_seed = None
     elif mode == "sample":
         if sample_size is None or seed is None:
             raise ValueError("sample mode needs sample_size and seed")
@@ -576,7 +583,28 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
         used_seed = seed
     else:
         raise ValueError(f"unknown w_count mode {mode!r}")
+    if r == 0 and normalization_h0(degrees) == curve.graph.num_edges and 2 ** k < total:
+        poly = _theta_polynomial(curve, degrees)
+        count = poly.zero_count(budget) if rng is None else poly._zeros_among(total, rng)
+    else:
+        count = rank_scan(curve, degrees, r, total, rng)
+    exponent = math.log(count) / math.log(p) if count > 0 else None
+    return WCountResult(prime=p, r=r, count=count, total=total,
+                        exponent_estimate=exponent, mode=mode, seed=used_seed)
+
+
+def rank_scan(curve: GraphCurve, degrees, r: int, total: int, rng=None) -> int:
+    """Points with h^0 >= r + 1 among the first ``total`` points of the
+    torus (F_p*)^k in ``itertools.product`` order, or among ``total``
+    seeded draws from ``rng``, by the rank of the gluing matrix at each.
+
+    Points are ranked in chunks of at most ``CHUNK_CELLS`` matrix entries
+    by one stacked elimination each.  No budget is checked here.
+    """
+    p = curve.prime
     dtype = stack_dtype(p)
+    free = free_gluing_edges(curve)
+    k = len(free)
     pairs, ncols = _edge_rows(curve, degrees)
     forest = sorted(curve.graph.spanning_forest())
     fixed = np.array([[(b - a) % p for a, b in zip(*pairs[e])] for e in forest],
@@ -585,24 +613,58 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
                   for side in (0, 1))
     step = max(1, CHUNK_CELLS // max(1, (len(forest) + k) * ncols))
     count = 0
+    for values in _torus_points(p, k, total, step, rng):
+        stack = np.concatenate([
+            np.broadcast_to(fixed, (len(values),) + fixed.shape),
+            (row2 - values[:, :, None] * row1) % p,
+        ], axis=1)
+        count += int(np.count_nonzero(ncols - batch_rank(stack, p) >= r + 1))
+    return count
+
+
+def _torus_points(p: int, k: int, total: int, step: int, rng=None):
+    """The first ``total`` points of (F_p*)^k in ``itertools.product``
+    order, or ``total`` draws of k values ``rng.randrange(1, p)``, as
+    arrays of at most ``step`` rows."""
+    dtype = stack_dtype(p)
     for start in range(0, total, step):
         size = min(step, total - start)
         values = np.empty((size, k), dtype)
-        if mode == "exhaustive":  # points start.., in itertools.product order
+        if rng is None:
             rest = np.arange(start, start + size, dtype=np.int64)
             for j in reversed(range(k)):
                 rest, digit = np.divmod(rest, p - 1)
                 values[:, j] = digit + 1
         else:
             values.flat = [rng.randrange(1, p) for _ in range(size * k)]
-        stack = np.concatenate([
-            np.broadcast_to(fixed, (size,) + fixed.shape),
-            (row2 - values[:, :, None] * row1) % p,
-        ], axis=1)
-        count += int(np.count_nonzero(ncols - batch_rank(stack, p) >= r + 1))
-    exponent = math.log(count) / math.log(p) if count > 0 else None
-    return WCountResult(prime=p, r=r, count=count, total=total,
-                        exponent_estimate=exponent, mode=mode, seed=used_seed)
+        yield values
+
+
+def _multilinear_values(coeffs, values, p: int):
+    """Values mod p at each row of ``values`` (N x m) of the multilinear
+    polynomials whose coefficients are the columns of ``coeffs`` (2^m x B,
+    row index the exponent bits, first variable most significant), as an
+    N x B array: Horner in one variable at a time, the last one first."""
+    acc = coeffs[None]
+    for j in reversed(range(values.shape[1])):
+        acc = acc.reshape(len(acc), -1, 2, coeffs.shape[1])
+        acc = (acc[:, :, 0] + values[:, j, None, None] * acc[:, :, 1]) % p
+    return np.broadcast_to(acc[:, 0], (len(values), coeffs.shape[1]))
+
+
+def _grid_values(coeffs, m: int, p: int):
+    """Values mod p at every point of (F_p*)^m of the multilinear
+    polynomials in the rows of ``coeffs`` (N x 2^m B, each row 2^m blocks
+    of B coefficients, first variable most significant), as an
+    N x (p - 1)^m x B array in ``itertools.product`` order: one variable
+    at a time, its pair of coefficient blocks becomes p - 1 values."""
+    acc = coeffs.reshape(len(coeffs), 1, -1)
+    for _ in range(m):
+        x = np.arange(1, p, dtype=coeffs.dtype)[:, None]
+        acc = acc.reshape(len(acc), acc.shape[1], 2, -1)
+        acc = (acc[:, :, None, 0] + x * acc[:, :, None, 1]) % p
+        acc = acc.reshape(len(acc), -1, acc.shape[-1])
+    return acc
 
 
 @dataclass(frozen=True)
@@ -817,17 +879,58 @@ class ThetaPolynomial:
         return acc
 
     def zero_count(self, budget: int | None = None) -> int:
-        """Zeros on the torus (F_p*)^k, by direct evaluation."""
+        """Zeros on the torus (F_p*)^k, from (p - 1)^(k - 1) evaluations.
+
+        f is multilinear, so f = x*g + h in its last scalar x, with g and h
+        free of x.  At a point y of the other scalars, g(y) != 0 leaves the
+        one root x = -h(y)/g(y), on the torus exactly when h(y) != 0, and
+        g(y) = 0 leaves p - 1 roots when h(y) = 0 and none otherwise.  g and
+        h are evaluated with numpy in chunks of about ``CHUNK_CELLS`` cells:
+        the last scalars over their whole grid at once, one variable at a
+        time, the others point by point.  As in ``w_count``, the budget
+        caps (p - 1)^k, the points of the torus.
+        """
         p = self.prime
         k = len(self.free_edges)
         cost = (p - 1) ** k
         limit = budget if budget is not None else rank_budget()
         if cost > limit:
             raise BudgetExceededError(cost, limit)
+        if k == 0:
+            return int(self.is_identically_zero)
+        inner = 0
+        while inner < k - 1 and 2 * (p - 1) ** (inner + 1) <= CHUNK_CELLS:
+            inner += 1
+        outer = k - 1 - inner
+        coeffs = self._coefficients().reshape(2 ** outer, -1)  # h and g interleaved
+        step = max(1, CHUNK_CELLS // max(2 ** k, 2 * (p - 1) ** inner))
+        count = 0
+        for values in _torus_points(p, outer, (p - 1) ** outer, step):
+            hg = _grid_values(_multilinear_values(coeffs, values, p), inner, p)
+            h, g = hg[:, :, 0], hg[:, :, 1]
+            count += int(np.count_nonzero((g != 0) & (h != 0)))
+            count += (p - 1) * int(np.count_nonzero((g == 0) & (h == 0)))
+        return count
+
+    def _zeros_among(self, total: int, rng) -> int:
+        """Zeros among ``total`` points drawn as ``w_count``'s sample mode
+        draws them: k values ``rng.randrange(1, p)`` per point."""
+        p = self.prime
+        k = len(self.free_edges)
+        coeffs = self._coefficients().reshape(-1, 1)
         return sum(
-            1 for values in itertools.product(range(1, p), repeat=k)
-            if self.evaluate(values) == 0
+            int(np.count_nonzero(_multilinear_values(coeffs, values, p) == 0))
+            for values in _torus_points(p, k, total, max(1, CHUNK_CELLS >> k), rng)
         )
+
+    def _coefficients(self):
+        """All 2^k coefficients, indexed by the exponent bits with the first
+        variable most significant (``itertools.product`` order)."""
+        k = len(self.free_edges)
+        coeffs = np.zeros(2 ** k, stack_dtype(self.prime))
+        for expo, c in self.terms:
+            coeffs[sum(b << (k - 1 - i) for i, b in enumerate(expo))] = c % self.prime
+        return coeffs
 
     def factor_count(self):
         """Number of irreducible factors over F_p, or None for the zero
@@ -841,7 +944,8 @@ class ThetaPolynomial:
         stands for each block."""
         if self.is_identically_zero:
             return None
-        monomials = {sum(b << i for i, b in enumerate(e)): c for e, c in self.terms}
+        monomials = {sum(b << i for i, b in enumerate(e)): c
+                     for e, c in self.terms if c % self.prime}
         heads = []
         for i in range(len(self.free_edges)):
             if any(m >> i & 1 for m in monomials) and not any(
@@ -852,12 +956,25 @@ class ThetaPolynomial:
 
 def _share_factor(monomials, i, j, p) -> bool:
     """Whether ``f00 * f11 - f10 * f01 != 0`` for the multilinear polynomial
-    ``{bitmask: coefficient}``, split by the degrees in x_i and x_j."""
+    ``{bitmask: coefficient}``, split by the degrees in x_i and x_j.
+
+    A product's leading term, in the lex order that compares bitmasks as
+    integers, is the product of its factors' leading terms, so the two
+    products differ when those differ; only when they agree, as on every
+    pair from two blocks, are both products built in full."""
     parts = {(a, b): {} for a in (0, 1) for b in (0, 1)}
     for m, c in monomials.items():
         parts[m >> i & 1, m >> j & 1][m & ~(1 << i | 1 << j)] = c
-    diff = {}  # a product monomial is keyed by its variables of degree >= 1 and of degree 2
-    for f, g, sign in ((parts[0, 0], parts[1, 1], 1), (parts[1, 0], parts[0, 1], -1)):
+    products = ((parts[0, 0], parts[1, 1], 1), (parts[1, 0], parts[0, 1], -1))
+    # a product monomial is keyed by its variables of degree >= 1 and of degree 2
+    leads = []
+    for f, g, _ in products:
+        a, b = max(f, default=None), max(g, default=None)
+        leads.append(None if a is None or b is None else (a | b, a & b, f[a] * g[b] % p))
+    if leads[0] != leads[1]:
+        return True
+    diff = {}
+    for f, g, sign in products:
         for (a, x), (b, y) in itertools.product(f.items(), g.items()):
             diff[a | b, a & b] = diff.get((a | b, a & b), 0) + sign * x * y
     return any(v % p for v in diff.values())
@@ -873,16 +990,21 @@ def symbolic_theta_polynomial(curve: GraphCurve, degrees) -> ThetaPolynomial:
     counted against the rank budget.  The polynomial is identically zero
     exactly when every gluing admits a section.
     """
-    p = curve.prime
     l = normalization_h0(degrees)
     if l != curve.graph.num_edges:
         raise ValueError(
             f"square case needed: normalization h^0 {l} != {curve.graph.num_edges} nodes"
         )
-    free = free_gluing_edges(curve)
-    cost, limit = 2 ** len(free), rank_budget()
+    cost, limit = 2 ** len(free_gluing_edges(curve)), rank_budget()
     if cost > limit:
         raise BudgetExceededError(cost, limit)
+    return _theta_polynomial(curve, degrees)
+
+
+def _theta_polynomial(curve: GraphCurve, degrees) -> ThetaPolynomial:
+    """The determinant of a square gluing system, with no budget check."""
+    p = curve.prime
+    free = free_gluing_edges(curve)
     pairs, _ = _edge_rows(curve, degrees)
     forest_rows = [[(b - a) % p for a, b in zip(row1, row2)] for row1, row2 in pairs]
     terms = []

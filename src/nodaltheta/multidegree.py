@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from .dual_graph import DualGraph, connected_subsets
 
 Multidegree = tuple  # tuple[int, ...], one entry per vertex
-Orientation = tuple  # tuple[int, ...], one entry per edge: 0 keeps side 1
-#                      as the starting half-edge, 1 swaps the two sides
 
 
 def _check_degree(graph: DualGraph, d) -> None:

@@ -89,6 +89,19 @@ def brute_node_scan(curve, edge: int, bundle):
     return histogram, None
 
 
+def brute_torus_count(curve, degrees, r: int = 0) -> int:
+    """Tree-normalized gluings with h^0 >= r + 1, by one ``h0`` per point of
+    the torus over the free edges (forest scalars 1)."""
+    free = gc.free_gluing_edges(curve)
+    count = 0
+    for values in itertools.product(range(1, curve.prime), repeat=len(free)):
+        gluing = [1] * curve.graph.num_edges
+        for e, c in zip(free, values):
+            gluing[e] = c
+        count += gc.h0(curve, gc.GluedLineBundle(degrees, tuple(gluing))) >= r + 1
+    return count
+
+
 # -- curve builders -----------------------------------------------------
 
 def cycle_curve(length: int, prime: int) -> GraphCurve:
@@ -132,6 +145,15 @@ def random_rational_curve(rng: random.Random, prime=11, max_v=3, max_e=4) -> Gra
                 break
         if ok:
             return GraphCurve(graph, prime, branch)
+
+
+def square_degrees(rng: random.Random, graph: DualGraph):
+    """Random degrees with ``sum(max(d + 1, 0)) == number of edges``, so the
+    gluing system is square: the edges are split among the vertices, and a
+    vertex given none gets degree -1 or -2."""
+    cuts = sorted(rng.randrange(graph.num_edges + 1) for _ in range(graph.num_vertices - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [graph.num_edges])]
+    return tuple(k - 1 if k else -1 - rng.randrange(2) for k in parts)
 
 
 def _random_bundle(rng: random.Random, curve) -> gc.GluedLineBundle:
@@ -413,6 +435,27 @@ def _check_semistable_h0_identity(fast):
     return True, f"{checked} semistable classes"
 
 
+def _check_theta_zero_count(fast):
+    # the determinant's zeros on the torus against one h0 per torus point;
+    # an identically zero determinant (every gluing has a section) is all
+    # g = h = 0 in zero_count's split f = x*g + h
+    rng = random.Random(20260815)
+    n_instances, zeros, vanishing = (60 if fast else 200), 0, 0
+    for i in range(n_instances):
+        curve = random_rational_curve(rng, prime=(2, 3, 5, 7, 11)[i % 5])
+        degrees = square_degrees(rng, curve.graph)
+        expected = brute_torus_count(curve, degrees)
+        poly = gc.symbolic_theta_polynomial(curve, degrees)
+        counted = poly.zero_count()
+        if counted != expected or gc.w_count(curve, degrees).count != expected:
+            return False, (f"{counted} determinant zeros, {expected} gluings with sections "
+                           f"for {degrees} on {curve.graph.edges} at p={curve.prime}")
+        zeros += expected
+        vanishing += bool(poly.variables) and poly.is_identically_zero
+    return True, (f"{n_instances} square systems, {zeros} zeros, "
+                  f"{vanishing} identically zero")
+
+
 def _check_one_node_cases(fast):
     rng = random.Random(20260813)
     attempts = 250
@@ -477,6 +520,7 @@ INVARIANTS = {
     "h0-bounds-and-blowup": _check_h0_bounds_and_blowup,
     "torus-invariance": _check_torus_invariance,
     "semistable-h0-identity": _check_semistable_h0_identity,
+    "theta-zero-count": _check_theta_zero_count,
     "one-node-case-oracle": _check_one_node_cases,
     "abel-images": _check_abel_images,
 }

@@ -4,11 +4,12 @@ The oracles here deliberately avoid the library's algorithms: stability
 of degrees and of orientations and the destabilizing nodes by scanning
 every subset (not only connected ones), determinants and matrix rank by
 minor expansion, the irreducible factors of a multilinear polynomial by
-scanning its variable bipartitions, theta stratum dimensions by
-normalizing once per stratum, primality by trial division.  The
-component-count, bridge and one-node oracles and the random and cycle
-curve builders live in ``nodaltheta.selfcheck``, whose invariant
-registry uses them too; they are re-exported here.
+scanning its variable bipartitions, its torus zeros by evaluating it at
+every point, theta stratum dimensions by normalizing once per stratum,
+primality by trial division.  The component-count, bridge, one-node
+and per-point torus oracles, the random and cycle curve builders and
+the random square degrees live in ``nodaltheta.selfcheck``, whose
+invariant registry uses them too; they are re-exported here.
 Expected values frozen in the tests were computed with these.
 """
 
@@ -26,8 +27,10 @@ from nodaltheta.selfcheck import (  # noqa: F401
     brute_bridges,
     brute_component_count,
     brute_node_scan,
+    brute_torus_count,
     cycle_curve,
     random_rational_curve,
+    square_degrees,
 )
 
 
@@ -163,6 +166,13 @@ def brute_rank(rows, p: int) -> int:
 def brute_is_prime(n: int) -> bool:
     """Primality by trial division (small n only)."""
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def brute_zero_count(poly) -> int:
+    """Zeros of a ``ThetaPolynomial`` on the torus (F_p*)^k, by evaluating
+    it at every point (small tori only)."""
+    return sum(1 for values in itertools.product(range(1, poly.prime), repeat=len(poly.free_edges))
+               if poly.evaluate(values) == 0)
 
 
 def brute_factor_count(terms, p: int):

@@ -5,8 +5,6 @@ from nodaltheta.dual_graph import (
     DualGraph,
     GraphTooLargeError,
     connected_subsets,
-    half_edge_vertex,
-    half_edges,
 )
 from nodaltheta.families import connected_multigraphs
 
@@ -160,20 +158,6 @@ class TestStrip:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             BANANA.strip("everything")
-
-
-class TestHalfEdges:
-    def test_two_per_edge(self):
-        assert len(half_edges(THETA)) == 2 * THETA.num_edges
-
-    def test_attachment_vertices(self):
-        graph = DualGraph((0, 0), ((0, 1), (1, 1)))
-        assert half_edge_vertex(graph, (0, 1)) == 0
-        assert half_edge_vertex(graph, (0, 2)) == 1
-        assert half_edge_vertex(graph, (1, 1)) == 1
-        assert half_edge_vertex(graph, (1, 2)) == 1
-        with pytest.raises(ValueError):
-            half_edge_vertex(graph, (0, 3))
 
 
 class TestConnectedSubsets:

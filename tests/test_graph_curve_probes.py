@@ -17,6 +17,7 @@ from nodaltheta.graph_curve import (
     h0,
     hyperelliptic_rational,
     node_quadric,
+    rank_scan,
     rational_curve,
     section_space,
     symbolic_theta_polynomial,
@@ -265,9 +266,12 @@ class TestSymbolicDeterminant:
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_zero_set_matches_w_count(self, p):
+        # w_count reads this square r = 0 count off the determinant too, so
+        # the independent side is the rank scan over the 2 free scalars
         curve = theta_curve(p)
         poly = symbolic_theta_polynomial(curve, (0, 1))
         assert not poly.is_identically_zero
+        assert poly.zero_count() == rank_scan(curve, (0, 1), 0, (p - 1) ** 2)
         assert poly.zero_count() == w_count(curve, (0, 1)).count
 
     def test_identically_zero_for_non_semistable(self):
@@ -284,9 +288,10 @@ class TestSymbolicDeterminant:
         assert not is_semistable(curve.graph, degrees)
         poly = symbolic_theta_polynomial(curve, degrees)
         assert poly.is_identically_zero
-        # cross-check: every gluing admits a section
-        result = w_count(curve, degrees)
-        assert result.count == result.total
+        # cross-check by ranks: every gluing admits a section
+        total = 6 ** len(poly.variables)
+        assert rank_scan(curve, degrees, 0, total) == total
+        assert poly.zero_count() == total
 
     def test_rejects_non_square(self):
         curve = theta_curve(5)

@@ -1,5 +1,6 @@
 """The theta determinant on all-rational curves: its terms, its factor
-count and the irreducibility of Theta_d on a seeded family."""
+count, its zeros on the gluing torus against the rank scan, and the
+irreducibility of Theta_d on a seeded family."""
 
 import hashlib
 import itertools
@@ -7,23 +8,32 @@ import random
 
 import pytest
 
-from conftest import brute_factor_count, random_rational_curve
-from nodaltheta.graph_curve import ThetaPolynomial, symbolic_theta_polynomial
+from conftest import (
+    brute_factor_count,
+    brute_zero_count,
+    random_rational_curve,
+    square_degrees,
+)
+from nodaltheta.dual_graph import DualGraph
+from nodaltheta.graph_curve import (
+    INFINITY,
+    BudgetExceededError,
+    GluedLineBundle,
+    GraphCurve,
+    ThetaPolynomial,
+    free_gluing_edges,
+    h0,
+    rank_scan,
+    rational_curve,
+    symbolic_theta_polynomial,
+    w_count,
+)
 from nodaltheta.multidegree import enumerate_stable
 
 # SHA-256 of the terms of the 1,200 ``square_cases`` below, as the sympy
 # Berkowitz expansion that computed the determinant before the F_p
 # elimination gave them
 TERMS_DIGEST = "c53021ace9f4ca938acbe6f9f416af00769d3703aceb959d382fe790520be819"
-
-
-def square_degrees(rng: random.Random, graph):
-    """Random degrees with ``sum(max(d + 1, 0)) == number of edges``: the
-    edges are split among the vertices, and a vertex given none gets
-    degree -1 or -2."""
-    cuts = sorted(rng.randrange(graph.num_edges + 1) for _ in range(graph.num_vertices - 1))
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [graph.num_edges])]
-    return tuple(k - 1 if k else -1 - rng.randrange(2) for k in parts)
 
 
 def square_cases(count=1200, seed=20):
@@ -104,3 +114,121 @@ def test_theta_irreducible_verified_on_seeded_rational_family():
             assert symbolic_theta_polynomial(curve, degrees).factor_count() == 1, (curve, degrees)
             classes += 1
     assert classes > 1000
+
+
+# -- zeros on the gluing torus ---------------------------------------------
+
+GENERIC_PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7)]
+HYPERELLIPTIC_PAIRS = [(1, -1), (2, -2), (3, -3), (4, -4)]
+
+
+def torus_rank_scan(curve, degrees):
+    """The h0 >= 1 count over the whole torus by one rank per point."""
+    return rank_scan(curve, degrees, 0, (curve.prime - 1) ** len(free_gluing_edges(curve)))
+
+
+def trivalent_curve_at_two(num_vertices, edges):
+    """A curve over F_2 whose lines each carry at most three nodes, put at
+    0, 1 and infinity in edge order."""
+    points = [(0, 1), (1, 1), INFINITY]
+    used = [0] * num_vertices
+    branch = {}
+    for e, (u, v) in enumerate(edges):
+        for side, w in ((1, u), (2, v)):
+            branch[(e, side)] = points[used[w]]
+            used[w] += 1
+    return GraphCurve(DualGraph((0,) * num_vertices, tuple(edges)), 2, branch)
+
+
+def small_square_family():
+    """Seeded square cases at p in {2, 3, 5, 7, 11, 13}, with at most 3
+    lines and 5 nodes (4 at p = 11, 3 at p = 13).  The random curves at
+    p = 2 have at most one free scalar, so the theta graph, K4 and the
+    triangular prism over F_2 join them, with every square degree."""
+    rng = random.Random(23)
+    for i in range(480):
+        p = (2, 3, 5, 7, 11, 13)[i % 6]
+        curve = random_rational_curve(rng, prime=p, max_v=3, max_e={11: 4, 13: 3}.get(p, 5))
+        yield curve, square_degrees(rng, curve.graph)
+    for n, edges in ((2, [(0, 1)] * 3),
+                     (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+                     (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])):
+        curve = trivalent_curve_at_two(n, edges)
+        for degrees in itertools.product(range(-1, 3), repeat=n):
+            if sum(d + 1 for d in degrees) == len(edges):
+                yield curve, degrees
+
+
+def test_zero_count_matches_rank_scan_on_small_family():
+    # the determinant count, w_count, the rank scan and evaluation at
+    # every point agree on every case
+    seen = set()
+    for curve, degrees in small_square_family():
+        poly = symbolic_theta_polynomial(curve, degrees)
+        want = torus_rank_scan(curve, degrees)
+        assert poly.zero_count() == brute_zero_count(poly) == want, (curve, degrees)
+        assert w_count(curve, degrees).count == want, (curve, degrees)
+        seen.add((curve.prime, len(poly.variables) > 1, poly.is_identically_zero))
+    # identically zero determinants are all g = h = 0 in zero_count's split
+    assert seen >= {(p, True, z) for p in (2, 3, 5, 7, 11, 13) for z in (False, True)}
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 31])
+@pytest.mark.parametrize("pairs", [GENERIC_PAIRS, HYPERELLIPTIC_PAIRS],
+                         ids=["generic", "hyperelliptic"])
+def test_genus_four_counts_match_rank_scan(pairs, p):
+    curve = rational_curve(p, pairs)
+    poly = symbolic_theta_polynomial(curve, (3,))
+    want = torus_rank_scan(curve, (3,))
+    assert w_count(curve, (3,)).count == poly.zero_count() == want
+    if p == 11:
+        assert brute_zero_count(poly) == want
+
+
+@pytest.mark.parametrize("seed", [3, 5, 8, 13, 21, 34, 55, 89])
+def test_sample_counts_match_rank_scan(seed):
+    # the same seeded draws, in the same order, on both paths
+    banana = GraphCurve(DualGraph((0, 0), ((0, 1),) * 4), 17,
+                        {(e, side): (e + side - 1, 1) for e in range(4) for side in (1, 2)})
+    theta = rational_curve(13, [(1, 2), (3, 4), (5, 6)])
+    for curve, degrees in ((banana, (1, 1)), (theta, (2,))):
+        result = w_count(curve, degrees, mode="sample", sample_size=700, seed=seed)
+        assert result.count == rank_scan(curve, degrees, 0, 700, random.Random(seed))
+
+
+def test_zero_count_without_free_scalars():
+    assert ThetaPolynomial(5, (), (((), 3),), ()).zero_count() == 0
+    assert ThetaPolynomial(5, (), (), ()).zero_count() == 1
+
+
+def test_zero_count_at_large_prime():
+    # exact object integers above 2^31: 3*c0 - 5 has the one root 5/3
+    p = 2147483659
+    poly = ThetaPolynomial(p, (0,), (((0,), p - 5), ((1,), 3)), ("c0",))
+    assert poly.zero_count(budget=p) == 1
+    assert ThetaPolynomial(p, (0,), (((1,), 3),), ("c0",)).zero_count(budget=p) == 0
+
+
+def test_zero_count_budget_caps_the_torus():
+    poly = symbolic_theta_polynomial(rational_curve(11, GENERIC_PAIRS), (3,))
+    with pytest.raises(BudgetExceededError) as info:
+        poly.zero_count(budget=9_999)
+    assert (info.value.cost, info.value.budget) == (10_000, 9_999)
+
+
+def test_many_free_edges_at_two():
+    # the prism over a 25-cycle at p = 2: 50 lines, each with its 3 points
+    # taken by nodes, 75 nodes and 26 free scalars.  The torus is a single
+    # point, so w_count ranks it instead of taking 2^26 determinants, which
+    # the default budget refuses.
+    n = 25
+    edges = ([tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+             + [tuple(sorted((n + i, n + (i + 1) % n))) for i in range(n)]
+             + [(i, n + i) for i in range(n)])
+    curve = trivalent_curve_at_two(2 * n, edges)
+    degrees = (1,) * n + (0,) * n
+    result = w_count(curve, degrees)
+    assert (result.total, len(free_gluing_edges(curve))) == (1, 26)
+    assert result.count == (h0(curve, GluedLineBundle(degrees, (1,) * len(edges))) >= 1)
+    with pytest.raises(BudgetExceededError):
+        symbolic_theta_polynomial(curve, degrees)
