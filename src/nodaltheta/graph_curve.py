@@ -555,12 +555,17 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
     budget, whichever path then counts them; sample mode draws seeded
     uniform vectors instead.
 
-    With r = 0 and a square system (``normalization_h0(degrees)`` equal to
-    the number of nodes) the bundles counted are the zeros of the theta
-    determinant.  When its 2^k determinants are fewer than the points, the
-    count is read off it: ``ThetaPolynomial.zero_count`` over the torus, or
-    its values at the same seeded draws.  Otherwise ``rank_scan`` ranks
-    every point: for r >= 1, for non-square degrees, and when the points
+    On a square system (``normalization_h0(degrees)`` equal to the number
+    of nodes) the theta determinant f decides, when its 2^k determinants
+    are fewer than the points.  For r = 0 the bundles counted are its
+    zeros: ``ThetaPolynomial.zero_count`` over the torus, or its values at
+    the same seeded draws.  For r >= 1 the matrix has rank at most n - 2,
+    so in the split f = x*g + h in the last free scalar x, g and h (up to
+    sign the determinants with that node's row replaced by ``row1`` or by
+    ``row2``, which keep the other n - 1 rows) both vanish at the other
+    scalars y; only the points (y, x) over such y, or the draws there, are
+    ranked.  Otherwise ``rank_scan`` ranks every point: for non-square
+    degrees, for an identically zero f with r >= 1, and when the points
     are too few (p <= 3, no free edge, or at most 2^k samples).
     """
     if r < 0:
@@ -583,9 +588,13 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
         used_seed = seed
     else:
         raise ValueError(f"unknown w_count mode {mode!r}")
-    if r == 0 and normalization_h0(degrees) == curve.graph.num_edges and 2 ** k < total:
+    poly = None
+    if k and 2 ** k < total and normalization_h0(degrees) == curve.graph.num_edges:
         poly = _theta_polynomial(curve, degrees)
+    if poly is not None and r == 0:
         count = poly.zero_count(budget) if rng is None else poly._zeros_among(total, rng)
+    elif poly is not None and not poly.is_identically_zero:
+        count = _rank_points(curve, degrees, r, poly._double_zeros(total, rng))
     else:
         count = rank_scan(curve, degrees, r, total, rng)
     exponent = math.log(count) / math.log(p) if count > 0 else None
@@ -597,10 +606,18 @@ def rank_scan(curve: GraphCurve, degrees, r: int, total: int, rng=None) -> int:
     """Points with h^0 >= r + 1 among the first ``total`` points of the
     torus (F_p*)^k in ``itertools.product`` order, or among ``total``
     seeded draws from ``rng``, by the rank of the gluing matrix at each.
-
-    Points are ranked in chunks of at most ``CHUNK_CELLS`` matrix entries
-    by one stacked elimination each.  No budget is checked here.
+    No budget is checked here.
     """
+    k = len(free_gluing_edges(curve))
+    points = _torus_points(curve.prime, k, total, max(1, CHUNK_CELLS // max(1, k)), rng)
+    return _rank_points(curve, degrees, r, points)
+
+
+def _rank_points(curve: GraphCurve, degrees, r: int, chunks) -> int:
+    """Points with h^0 >= r + 1 among the rows of the arrays in ``chunks``,
+    each row the free scalars of a tree-normalized gluing, by the rank of
+    its gluing matrix: one stacked elimination per at most ``CHUNK_CELLS``
+    matrix entries."""
     p = curve.prime
     dtype = stack_dtype(p)
     free = free_gluing_edges(curve)
@@ -613,12 +630,14 @@ def rank_scan(curve: GraphCurve, degrees, r: int, total: int, rng=None) -> int:
                   for side in (0, 1))
     step = max(1, CHUNK_CELLS // max(1, (len(forest) + k) * ncols))
     count = 0
-    for values in _torus_points(p, k, total, step, rng):
-        stack = np.concatenate([
-            np.broadcast_to(fixed, (len(values),) + fixed.shape),
-            (row2 - values[:, :, None] * row1) % p,
-        ], axis=1)
-        count += int(np.count_nonzero(ncols - batch_rank(stack, p) >= r + 1))
+    for chunk in chunks:
+        for start in range(0, len(chunk), step):
+            values = chunk[start:start + step]
+            stack = np.concatenate([
+                np.broadcast_to(fixed, (len(values),) + fixed.shape),
+                (row2 - values[:, :, None] * row1) % p,
+            ], axis=1)
+            count += int(np.count_nonzero(ncols - batch_rank(stack, p) >= r + 1))
     return count
 
 
@@ -626,18 +645,24 @@ def _torus_points(p: int, k: int, total: int, step: int, rng=None):
     """The first ``total`` points of (F_p*)^k in ``itertools.product``
     order, or ``total`` draws of k values ``rng.randrange(1, p)``, as
     arrays of at most ``step`` rows."""
-    dtype = stack_dtype(p)
     for start in range(0, total, step):
         size = min(step, total - start)
-        values = np.empty((size, k), dtype)
         if rng is None:
-            rest = np.arange(start, start + size, dtype=np.int64)
-            for j in reversed(range(k)):
-                rest, digit = np.divmod(rest, p - 1)
-                values[:, j] = digit + 1
+            yield _torus_at(np.arange(start, start + size, dtype=np.int64), p, k)
         else:
+            values = np.empty((size, k), stack_dtype(p))
             values.flat = [rng.randrange(1, p) for _ in range(size * k)]
-        yield values
+            yield values
+
+
+def _torus_at(index, p: int, k: int):
+    """The points of (F_p*)^k numbered ``index`` (an int64 array) in
+    ``itertools.product`` order, as a len(index) x k array."""
+    values = np.empty((len(index), k), stack_dtype(p))
+    for j in reversed(range(k)):
+        index, digit = np.divmod(index, p - 1)
+        values[:, j] = digit + 1
+    return values
 
 
 def _multilinear_values(coeffs, values, p: int):
@@ -884,11 +909,8 @@ class ThetaPolynomial:
         f is multilinear, so f = x*g + h in its last scalar x, with g and h
         free of x.  At a point y of the other scalars, g(y) != 0 leaves the
         one root x = -h(y)/g(y), on the torus exactly when h(y) != 0, and
-        g(y) = 0 leaves p - 1 roots when h(y) = 0 and none otherwise.  g and
-        h are evaluated with numpy in chunks of about ``CHUNK_CELLS`` cells:
-        the last scalars over their whole grid at once, one variable at a
-        time, the others point by point.  As in ``w_count``, the budget
-        caps (p - 1)^k, the points of the torus.
+        g(y) = 0 leaves p - 1 roots when h(y) = 0 and none otherwise.  As
+        in ``w_count``, the budget caps (p - 1)^k, the points of the torus.
         """
         p = self.prime
         k = len(self.free_edges)
@@ -898,30 +920,70 @@ class ThetaPolynomial:
             raise BudgetExceededError(cost, limit)
         if k == 0:
             return int(self.is_identically_zero)
+        count = 0
+        for _, g, h in self._split_torus():
+            count += int(np.count_nonzero((g != 0) & (h != 0)))
+            count += (p - 1) * int(np.count_nonzero((g == 0) & (h == 0)))
+        return count
+
+    def _split_torus(self):
+        """``(first, g, h)`` over the points y of (F_p*)^(k - 1), k >= 1, in
+        ``itertools.product`` order: g and h of the split f = x*g + h at the
+        points numbered first, first + 1, ... in that order, as flat
+        arrays.  They are evaluated with numpy in chunks of about
+        ``CHUNK_CELLS`` cells: the last scalars over their whole grid at
+        once, one variable at a time, the others point by point."""
+        p = self.prime
+        k = len(self.free_edges)
         inner = 0
         while inner < k - 1 and 2 * (p - 1) ** (inner + 1) <= CHUNK_CELLS:
             inner += 1
         outer = k - 1 - inner
         coeffs = self._coefficients().reshape(2 ** outer, -1)  # h and g interleaved
         step = max(1, CHUNK_CELLS // max(2 ** k, 2 * (p - 1) ** inner))
-        count = 0
+        first = 0
         for values in _torus_points(p, outer, (p - 1) ** outer, step):
-            hg = _grid_values(_multilinear_values(coeffs, values, p), inner, p)
-            h, g = hg[:, :, 0], hg[:, :, 1]
-            count += int(np.count_nonzero((g != 0) & (h != 0)))
-            count += (p - 1) * int(np.count_nonzero((g == 0) & (h == 0)))
-        return count
+            hg = _grid_values(_multilinear_values(coeffs, values, p), inner, p).reshape(-1, 2)
+            yield first, hg[:, 1], hg[:, 0]
+            first += len(hg)
+
+    def _split_draws(self, total: int, rng):
+        """``(points, g, h)`` over ``total`` points drawn as ``w_count``'s
+        sample mode draws them, k >= 1 values ``rng.randrange(1, p)`` per
+        point: g and h of the split f = x*g + h at each point's scalars
+        before the last."""
+        p = self.prime
+        k = len(self.free_edges)
+        coeffs = self._coefficients().reshape(-1, 2)  # columns h and g
+        for values in _torus_points(p, k, total, max(1, CHUNK_CELLS >> k), rng):
+            hg = _multilinear_values(coeffs, values[:, :-1], p)
+            yield values, hg[:, 1], hg[:, 0]
 
     def _zeros_among(self, total: int, rng) -> int:
         """Zeros among ``total`` points drawn as ``w_count``'s sample mode
-        draws them: k values ``rng.randrange(1, p)`` per point."""
+        draws them."""
+        return sum(int(np.count_nonzero((values[:, -1] * g + h) % self.prime == 0))
+                   for values, g, h in self._split_draws(total, rng))
+
+    def _double_zeros(self, total: int, rng=None):
+        """Arrays of the torus points (y, x) with g(y) = h(y) = 0, where f
+        vanishes for every x: all of them, in arrays of at most
+        ``CHUNK_CELLS`` cells, or those among ``total`` draws from ``rng``
+        as ``_split_draws`` draws them."""
+        if rng is not None:
+            for values, g, h in self._split_draws(total, rng):
+                yield values[(g == 0) & (h == 0)]
+            return
         p = self.prime
         k = len(self.free_edges)
-        coeffs = self._coefficients().reshape(-1, 1)
-        return sum(
-            int(np.count_nonzero(_multilinear_values(coeffs, values, p) == 0))
-            for values in _torus_points(p, k, total, max(1, CHUNK_CELLS >> k), rng)
-        )
+        step = max(1, CHUNK_CELLS // k)
+        for first, g, h in self._split_torus():
+            ys = first + np.flatnonzero((g == 0) & (h == 0))
+            size = (p - 1) * len(ys)
+            # the point (y, x) is numbered (p - 1) * (number of y) + x - 1
+            for start in range(0, size, step):
+                j = np.arange(start, min(start + step, size))
+                yield _torus_at(ys[j // (p - 1)] * (p - 1) + j % (p - 1), p, k)
 
     def _coefficients(self):
         """All 2^k coefficients, indexed by the exponent bits with the first

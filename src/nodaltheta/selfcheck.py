@@ -89,17 +89,22 @@ def brute_node_scan(curve, edge: int, bundle):
     return histogram, None
 
 
-def brute_torus_count(curve, degrees, r: int = 0) -> int:
-    """Tree-normalized gluings with h^0 >= r + 1, by one ``h0`` per point of
-    the torus over the free edges (forest scalars 1)."""
+def brute_torus_h0(curve, degrees) -> list:
+    """h^0 of the tree-normalized gluing at each point of the torus over the
+    free edges (forest scalars 1), by one ``h0`` per point."""
     free = gc.free_gluing_edges(curve)
-    count = 0
-    for values in itertools.product(range(1, curve.prime), repeat=len(free)):
+    values = []
+    for scalars in itertools.product(range(1, curve.prime), repeat=len(free)):
         gluing = [1] * curve.graph.num_edges
-        for e, c in zip(free, values):
+        for e, c in zip(free, scalars):
             gluing[e] = c
-        count += gc.h0(curve, gc.GluedLineBundle(degrees, tuple(gluing))) >= r + 1
-    return count
+        values.append(gc.h0(curve, gc.GluedLineBundle(degrees, tuple(gluing))))
+    return values
+
+
+def brute_torus_count(curve, degrees, r: int = 0) -> int:
+    """Tree-normalized gluings with h^0 >= r + 1, by ``brute_torus_h0``."""
+    return sum(value >= r + 1 for value in brute_torus_h0(curve, degrees))
 
 
 # -- curve builders -----------------------------------------------------
@@ -436,23 +441,29 @@ def _check_semistable_h0_identity(fast):
 
 
 def _check_theta_zero_count(fast):
-    # the determinant's zeros on the torus against one h0 per torus point;
-    # an identically zero determinant (every gluing has a section) is all
-    # g = h = 0 in zero_count's split f = x*g + h
+    # the determinant's zeros on the torus, and the gluings with h0 >= 2
+    # that w_count ranks among the g = h = 0 points, against one h0 per
+    # torus point; an identically zero determinant (every gluing has a
+    # section) is all g = h = 0 in zero_count's split f = x*g + h
     rng = random.Random(20260815)
-    n_instances, zeros, vanishing = (60 if fast else 200), 0, 0
+    n_instances, zeros, w1_points, vanishing = (60 if fast else 200), 0, 0, 0
     for i in range(n_instances):
         curve = random_rational_curve(rng, prime=(2, 3, 5, 7, 11)[i % 5])
         degrees = square_degrees(rng, curve.graph)
-        expected = brute_torus_count(curve, degrees)
+        values = brute_torus_h0(curve, degrees)
+        expected = sum(value >= 1 for value in values)
+        expected_w1 = sum(value >= 2 for value in values)
         poly = gc.symbolic_theta_polynomial(curve, degrees)
-        counted = poly.zero_count()
-        if counted != expected or gc.w_count(curve, degrees).count != expected:
-            return False, (f"{counted} determinant zeros, {expected} gluings with sections "
-                           f"for {degrees} on {curve.graph.edges} at p={curve.prime}")
+        counts = (poly.zero_count(), gc.w_count(curve, degrees).count,
+                  gc.w_count(curve, degrees, r=1).count)
+        if counts != (expected, expected, expected_w1):
+            return False, (f"zero_count, w_count and w_count r=1 gave {counts}, one h0 per "
+                           f"point {expected} and {expected_w1}, for {degrees} on "
+                           f"{curve.graph.edges} at p={curve.prime}")
         zeros += expected
+        w1_points += expected_w1
         vanishing += bool(poly.variables) and poly.is_identically_zero
-    return True, (f"{n_instances} square systems, {zeros} zeros, "
+    return True, (f"{n_instances} square systems, {zeros} zeros, {w1_points} with h0 >= 2, "
                   f"{vanishing} identically zero")
 
 

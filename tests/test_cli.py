@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodaltheta import multidegree, selfcheck
-from nodaltheta.cli import SpecError, parse_curve, run
+from nodaltheta.cli import SpecError, load_spec, parse_curve, run
+from nodaltheta.graph_curve import rank_scan
 from nodaltheta.modp import PRIMALITY_LIMIT
 
 
@@ -182,6 +183,20 @@ class TestCommands:
         for r in records:
             assert set(r) == {"prime", "count", "total", "exponent_estimate"}
         assert abs(report["results"]["fit"]["slope"] - 1.0) <= 0.35
+
+    def test_wcount_w1_matches_rank_scan(self, capsys):
+        # the genus-4 benchmark spec; r = 1 ranks only the points where
+        # both halves of the theta determinant vanish
+        path = str(Path(__file__).resolve().parent.parent / "perfbench" / "specs"
+                   / "rational4.json")
+        code = run(["wcount", path, "--degrees", "3", "--r", "1", "--primes", "11,13,31"])
+        assert code == 0
+        printed = re.findall(r"p=(\d+)  count=(\d+)/", capsys.readouterr().out)
+        assert [int(p) for p, _ in printed] == [11, 13, 31]
+        spec = load_spec(path)
+        for p, count in printed:
+            curve = parse_curve(spec, prime=int(p))
+            assert int(count) == rank_scan(curve, (3,), 1, (int(p) - 1) ** 4)
 
     def test_abel(self, capsys, theta_spec):
         code, report = run_json(

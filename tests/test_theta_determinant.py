@@ -1,6 +1,7 @@
 """The theta determinant on all-rational curves: its terms, its factor
-count, its zeros on the gluing torus against the rank scan, and the
-irreducibility of Theta_d on a seeded family."""
+count, its zeros on the gluing torus and the h0 >= r + 1 counts that
+rank only the points over its double zeros, both against the rank scan,
+and the irreducibility of Theta_d on a seeded family."""
 
 import hashlib
 import itertools
@@ -13,6 +14,7 @@ from conftest import (
     brute_zero_count,
     random_rational_curve,
     square_degrees,
+    theta_curve,
 )
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.graph_curve import (
@@ -122,9 +124,9 @@ GENERIC_PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7)]
 HYPERELLIPTIC_PAIRS = [(1, -1), (2, -2), (3, -3), (4, -4)]
 
 
-def torus_rank_scan(curve, degrees):
-    """The h0 >= 1 count over the whole torus by one rank per point."""
-    return rank_scan(curve, degrees, 0, (curve.prime - 1) ** len(free_gluing_edges(curve)))
+def torus_rank_scan(curve, degrees, r=0):
+    """The h0 >= r + 1 count over the whole torus by one rank per point."""
+    return rank_scan(curve, degrees, r, (curve.prime - 1) ** len(free_gluing_edges(curve)))
 
 
 def trivalent_curve_at_two(num_vertices, edges):
@@ -183,17 +185,76 @@ def test_genus_four_counts_match_rank_scan(pairs, p):
     assert w_count(curve, (3,)).count == poly.zero_count() == want
     if p == 11:
         assert brute_zero_count(poly) == want
+    assert w_count(curve, (3,), r=1).count == torus_rank_scan(curve, (3,), 1)
 
 
 @pytest.mark.parametrize("seed", [3, 5, 8, 13, 21, 34, 55, 89])
 def test_sample_counts_match_rank_scan(seed):
-    # the same seeded draws, in the same order, on both paths
+    # the same seeded draws, in the same order, on both paths; for r = 1
+    # w_count ranks only the draws over g = h = 0, and on the hyperelliptic
+    # genus-3 curve at p = 7 the g^1_2 is one of the 216 torus points
     banana = GraphCurve(DualGraph((0, 0), ((0, 1),) * 4), 17,
                         {(e, side): (e + side - 1, 1) for e in range(4) for side in (1, 2)})
     theta = rational_curve(13, [(1, 2), (3, 4), (5, 6)])
-    for curve, degrees in ((banana, (1, 1)), (theta, (2,))):
-        result = w_count(curve, degrees, mode="sample", sample_size=700, seed=seed)
-        assert result.count == rank_scan(curve, degrees, 0, 700, random.Random(seed))
+    hyperelliptic = rational_curve(7, HYPERELLIPTIC_PAIRS[:3])
+    for curve, degrees in ((banana, (1, 1)), (theta, (2,)), (hyperelliptic, (2,))):
+        for r in (0, 1):
+            result = w_count(curve, degrees, r=r, mode="sample", sample_size=700, seed=seed)
+            assert result.count == rank_scan(curve, degrees, r, 700, random.Random(seed))
+
+
+# -- W^r for r >= 1: ranking the points over g = h = 0 ---------------------
+
+def test_w_r_counts_match_rank_scan_on_square_family():
+    # seeded square systems with at most 4 lines and 6 nodes, those whose
+    # torus has at most 4,096 points, at p in {2, 3, 5, 7, 11, 13}
+    rng = random.Random(24)
+    seen, nonzero = set(), 0
+    for i in range(1000):
+        p = (2, 3, 5, 7, 11, 13)[i % 6]
+        curve = random_rational_curve(rng, prime=p, max_v=4, max_e=6)
+        degrees = square_degrees(rng, curve.graph)
+        k = len(free_gluing_edges(curve))
+        if (p - 1) ** k > 4096:
+            continue
+        vanishing = symbolic_theta_polynomial(curve, degrees).is_identically_zero
+        for r in (1, 2, 3):
+            count = w_count(curve, degrees, r=r).count
+            assert count == torus_rank_scan(curve, degrees, r), (curve, degrees, r)
+            nonzero += count > 0 and p > 3 and k > 0 and not vanishing
+        seen.add((k > 0, vanishing))
+    # forests, identically zero determinants, and nonzero counts from the
+    # determinant path (p > 3, a free scalar, f not identically zero)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    assert nonzero >= 10
+
+
+def test_w_r_with_one_free_scalar():
+    # a path of three lines with a loop on the middle one: k = 1, so g and
+    # h are constants and only an identically zero f leaves points to rank
+    graph = DualGraph((0, 0, 0), ((0, 1), (1, 2), (1, 1)))
+    branch = {(0, 1): (0, 1), (0, 2): (0, 1), (1, 1): (1, 1), (1, 2): (0, 1),
+              (2, 1): (2, 1), (2, 2): (3, 1)}
+    seen = set()
+    for p in (5, 7, 11):
+        curve = GraphCurve(graph, p, branch)
+        for degrees in itertools.product(range(-2, 3), repeat=3):
+            if sum(max(d + 1, 0) for d in degrees) != 3:
+                continue
+            vanishing = symbolic_theta_polynomial(curve, degrees).is_identically_zero
+            for r in (1, 2):
+                count = w_count(curve, degrees, r=r).count
+                assert count == torus_rank_scan(curve, degrees, r), (p, degrees, r)
+                seen.add((vanishing, count > 0))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("degrees", [(0, 1), (1, 0)])
+def test_w1_sample_at_large_prime(degrees):
+    # exact object integers above 2^31; the torus is past any budget
+    curve = theta_curve(2147483659)
+    result = w_count(curve, degrees, r=1, mode="sample", sample_size=300, seed=5)
+    assert (result.count, result.total) == (rank_scan(curve, degrees, 1, 300, random.Random(5)), 300)
 
 
 def test_zero_count_without_free_scalars():
