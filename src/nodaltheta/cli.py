@@ -178,7 +178,7 @@ def _parse_gluing(raw: str, n: int):
     return gluing
 
 
-def _parse_points(raw: str):
+def _parse_points(raw: str, n: int):
     points = []
     for i, item in enumerate(raw.split(",")):
         if ":" not in item:
@@ -188,6 +188,8 @@ def _parse_points(raw: str):
             vertex = int(v)
         except ValueError as exc:
             raise SpecError("--points", f"entry {i}: bad vertex") from exc
+        if not 0 <= vertex < n:
+            raise SpecError("--points", f"entry {i}: vertex {vertex} out of range")
         if pt == "inf":
             points.append((vertex, "inf"))
         else:
@@ -418,7 +420,7 @@ def _cmd_abel(args) -> int:
     from . import graph_curve as gc
 
     curve = parse_curve(load_spec(args.spec))
-    points = _parse_points(args.points)
+    points = _parse_points(args.points, curve.graph.num_vertices)
     bundle = gc.abel_image(curve, points)
     value = gc.h0(curve, bundle)
     forced = gc.forced_vanishing_nodes(

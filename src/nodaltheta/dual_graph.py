@@ -16,7 +16,6 @@ genus of the corresponding subcurve.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,15 +69,9 @@ class DualGraph:
         u, v = self.edges[e]
         return u == v
 
-    def valency(self, v: int, count_loops_twice: bool = True) -> int:
-        """Number of half-edges at ``v`` (or incident edges if not twice)."""
-        total = 0
-        for a, b in self.edges:
-            if a == v and b == v:
-                total += 2 if count_loops_twice else 1
-            elif a == v or b == v:
-                total += 1
-        return total
+    def valency(self, v: int) -> int:
+        """Number of half-edges at ``v``; a loop has two."""
+        return sum((a == v) + (b == v) for a, b in self.edges)
 
     def loops_at(self, v: int) -> int:
         return sum(1 for a, b in self.edges if a == v and b == v)
@@ -120,8 +113,10 @@ class DualGraph:
             adj[v].append((e, u))
         return adj
 
-    def connected_components(self) -> tuple[tuple[int, ...], ...]:
-        """Partition of the vertices, each component sorted, ordered by minimum."""
+    def _union_find(self):
+        """One union-find pass over the edges in index order: the root of
+        each vertex, the lowest vertex of its component, and the edges that
+        joined two components, the lowest-index spanning forest."""
         parent = list(range(self.num_vertices))
 
         def find(x):
@@ -130,56 +125,37 @@ class DualGraph:
                 x = parent[x]
             return x
 
-        for u, v in self.edges:
+        forest = []
+        for e, (u, v) in enumerate(self.edges):
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
+                forest.append(e)
+        return [find(v) for v in range(self.num_vertices)], tuple(forest)
+
+    def connected_components(self) -> tuple[tuple[int, ...], ...]:
+        """Partition of the vertices, each component sorted, ordered by minimum."""
         groups: dict[int, list[int]] = {}
-        for v in range(self.num_vertices):
-            groups.setdefault(find(v), []).append(v)
-        return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+        for v, root in enumerate(self._union_find()[0]):
+            groups.setdefault(root, []).append(v)
+        return tuple(map(tuple, groups.values()))
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1
 
+    def spanning_forest(self) -> tuple[int, ...]:
+        """Lowest-index maximal cycle-free edge set (greedy union-find)."""
+        return self._union_find()[1]
+
     def bridges(self) -> tuple[int, ...]:
         """Edges whose removal increases the component count (separating nodes).
 
-        Lowlink depth-first search; a tree edge is a bridge unless a back
-        edge (including a parallel copy of the tree edge itself) jumps over
-        it.  Loops are never bridges.
+        The cross edges of the depth-first orientation ``dfs_ends``: a tree
+        edge there is a bridge exactly when no back edge (a parallel copy
+        of it included) leads from below it to above it, which is when its
+        child cannot reach its parent.  Loops are never bridges.
         """
-        disc = [-1] * self.num_vertices
-        low = [0] * self.num_vertices
-        out: list[int] = []
-        adj = self.adjacency()
-        counter = itertools.count()
-        for root in range(self.num_vertices):
-            if disc[root] != -1:
-                continue
-            # iterative DFS; each stack frame remembers the edge it came by
-            stack = [(root, -1, iter(adj[root]))]
-            disc[root] = low[root] = next(counter)
-            while stack:
-                v, in_edge, it = stack[-1]
-                advanced = False
-                for e, w in it:
-                    if e == in_edge or self.is_loop(e):
-                        continue
-                    if disc[w] == -1:
-                        disc[w] = low[w] = next(counter)
-                        stack.append((w, e, iter(adj[w])))
-                        advanced = True
-                        break
-                    low[v] = min(low[v], disc[w])
-                if not advanced:
-                    stack.pop()
-                    if stack:
-                        u = stack[-1][0]
-                        low[u] = min(low[u], low[v])
-                        if low[v] > disc[u]:
-                            out.append(in_edge)
-        return tuple(sorted(out))
+        return cross_edges(self, dfs_ends(self))
 
     # -- derived graphs -----------------------------------------------
 
@@ -222,24 +198,6 @@ class DualGraph:
             new_edges.append((w, v))
         return DualGraph(tuple(genera), tuple(new_edges)), exceptional
 
-    def spanning_forest(self) -> tuple[int, ...]:
-        """Lowest-index maximal cycle-free edge set (greedy union-find)."""
-        parent = list(range(self.num_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        forest = []
-        for e, (u, v) in enumerate(self.edges):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-                forest.append(e)
-        return tuple(forest)
-
     def strip(self, mode: str) -> "DualGraph":
         """Remove loops, and with mode ``loops_and_bridges`` also bridges."""
         if mode not in ("loops_and_bridges", "loops_only"):
@@ -248,6 +206,92 @@ class DualGraph:
         if mode == "loops_and_bridges":
             drop.update(self.bridges())
         return self.delete_edges(drop)
+
+
+# -- orientations and their strong components ---------------------------
+
+def dfs_ends(graph: DualGraph) -> list[int]:
+    """Ending vertex of each edge in one depth-first orientation.
+
+    The search restarts at the lowest unvisited vertex of each component.
+    Each edge points away from the vertex it is first seen from: a tree
+    edge away from the root, any other edge toward its endpoint found
+    first, an ancestor.  A loop ends at its own vertex.  On a bridgeless
+    component this is strongly connected (Robbins 1939); in general its
+    cross edges are the bridges.
+    """
+    ends = [u if u == v else -1 for u, v in graph.edges]
+    seen = [False] * graph.num_vertices
+    adj = graph.adjacency()
+    for root in range(graph.num_vertices):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [iter(adj[root])]
+        while stack:
+            for e, w in stack[-1]:
+                if ends[e] == -1:
+                    ends[e] = w
+                    if not seen[w]:  # a tree edge: go down it
+                        seen[w] = True
+                        stack.append(iter(adj[w]))
+                        break
+            else:
+                stack.pop()
+    return ends
+
+
+def _strong_components(graph: DualGraph, ends) -> list[int]:
+    """Strong-component label per vertex of the non-loop edges oriented
+    toward ``ends`` (iterative Tarjan)."""
+    n = graph.num_vertices
+    succ = [[] for _ in range(n)]
+    for (a, b), end in zip(graph.edges, ends):
+        if a != b:
+            succ[a + b - end].append(end)
+    index = [-1] * n
+    low = [0] * n
+    label = [-1] * n
+    stack: list[int] = []
+    counter = components = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if label[w] == -1:  # w is still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = components
+                        if w == v:
+                            break
+                    components += 1
+    return label
+
+
+def cross_edges(graph: DualGraph, ends) -> tuple[int, ...]:
+    """Edges joining two distinct strong components of the orientation
+    whose ending vertices are ``ends``, in index order."""
+    label = _strong_components(graph, ends)
+    return tuple(e for e, (a, b) in enumerate(graph.edges) if label[a] != label[b])
 
 
 # -- subcurve enumeration ---------------------------------------------

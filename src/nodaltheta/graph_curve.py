@@ -446,6 +446,8 @@ def abel_image(curve: GraphCurve, points) -> GluedLineBundle:
     p = curve.prime
     by_vertex: dict[int, list] = {v: [] for v in range(curve.graph.num_vertices)}
     for vertex, point in points:
+        if vertex not in by_vertex:
+            raise ValueError(f"vertex {vertex} is not on the curve")
         pt = canonical_point(point, p)
         if pt in curve.branch_points_of(vertex):
             raise ValueError(f"point {pt} collides with a branch point on {vertex}")
@@ -546,8 +548,7 @@ CHUNK_CELLS = 1 << 13
 
 
 def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
-            sample_size: int | None = None, seed: int | None = None,
-            budget: int | None = None) -> WCountResult:
+            sample_size: int | None = None, seed: int | None = None) -> WCountResult:
     """Count tree-normalized gluing vectors whose bundle has h^0 >= r + 1.
 
     Exhaustive mode covers the whole torus (F_p*)^k over the free edges and
@@ -566,7 +567,8 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
     scalars y; only the points (y, x) over such y, or the draws there, are
     ranked.  Otherwise ``rank_scan`` ranks every point: for non-square
     degrees, for an identically zero f with r >= 1, and when the points
-    are too few (p <= 3, no free edge, or at most 2^k samples).
+    are too few (p <= 3, or at most 2^k samples).  With no free edge the
+    torus is one point, ranked once however many draws land on it.
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
@@ -575,7 +577,7 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
     rng = used_seed = None
     if mode == "exhaustive":
         total = (p - 1) ** k
-        limit = budget if budget is not None else rank_budget()
+        limit = rank_budget()
         if total > limit:
             raise BudgetExceededError(total, limit)
     elif mode == "sample":
@@ -588,15 +590,18 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
         used_seed = seed
     else:
         raise ValueError(f"unknown w_count mode {mode!r}")
-    poly = None
-    if k and 2 ** k < total and normalization_h0(degrees) == curve.graph.num_edges:
-        poly = _theta_polynomial(curve, degrees)
-    if poly is not None and r == 0:
-        count = poly.zero_count(budget) if rng is None else poly._zeros_among(total, rng)
-    elif poly is not None and not poly.is_identically_zero:
-        count = _rank_points(curve, degrees, r, poly._double_zeros(total, rng))
-    else:
+    if k == 0:
+        count = total * rank_scan(curve, degrees, r, 1)
+    elif 2 ** k >= total or normalization_h0(degrees) != curve.graph.num_edges:
         count = rank_scan(curve, degrees, r, total, rng)
+    else:
+        poly = _theta_polynomial(curve, degrees)
+        if r == 0:
+            count = poly.zero_count() if rng is None else poly._zeros_among(total, rng)
+        elif poly.is_identically_zero:
+            count = rank_scan(curve, degrees, r, total, rng)
+        else:
+            count = _rank_points(curve, degrees, r, poly._double_zeros(total, rng))
     exponent = math.log(count) / math.log(p) if count > 0 else None
     return WCountResult(prime=p, r=r, count=count, total=total,
                         exponent_estimate=exponent, mode=mode, seed=used_seed)
@@ -861,8 +866,7 @@ class ProbeResult:
     fit: ExponentFit
 
 
-def w1_dimension_probe(branch_pairs, primes, budget: int | None = None,
-                       r: int = 1) -> ProbeResult:
+def w1_dimension_probe(branch_pairs, primes, r: int = 1) -> ProbeResult:
     """Exhaustive counts of gluings with h^0 >= r + 1 in degree g - 1 on the
     irreducible rational curve with the given branch pairs, across primes,
     with the growth exponent fitted from the nonzero counts."""
@@ -872,7 +876,7 @@ def w1_dimension_probe(branch_pairs, primes, budget: int | None = None,
     counts = {}
     for p in primes:
         curve = rational_curve(p, branch_pairs)
-        result = w_count(curve, (g - 1,), r=r, budget=budget)
+        result = w_count(curve, (g - 1,), r=r)
         counts[p] = result.count
     return ProbeResult(genus=g, r=r, counts=counts, fit=fit_exponent(counts))
 
@@ -903,7 +907,7 @@ class ThetaPolynomial:
             acc = (acc + term) % p
         return acc
 
-    def zero_count(self, budget: int | None = None) -> int:
+    def zero_count(self) -> int:
         """Zeros on the torus (F_p*)^k, from (p - 1)^(k - 1) evaluations.
 
         f is multilinear, so f = x*g + h in its last scalar x, with g and h
@@ -915,7 +919,7 @@ class ThetaPolynomial:
         p = self.prime
         k = len(self.free_edges)
         cost = (p - 1) ** k
-        limit = budget if budget is not None else rank_budget()
+        limit = rank_budget()
         if cost > limit:
             raise BudgetExceededError(cost, limit)
         if k == 0:

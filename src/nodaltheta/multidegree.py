@@ -14,10 +14,13 @@ arithmetic genus.  Two equivalent notions are used:
 The predicates, ``destabilizing_nodes`` and ``stabilize`` use the
 orientation form and have no size cap: ``_orient`` finds one realizing
 orientation by path reversal (Hakimi 1965), and the edges between its
-strong components are the destabilizing nodes, the cut edges of the
-equality subcurves ``d_Z = p_a(Z) - 1``.  No edge enters an equality
-subcurve in *any* realizing orientation, so those edges, and the way
-each points, do not depend on which orientation was found.
+strong components (``dual_graph.cross_edges``, one Tarjan pass) are the
+destabilizing nodes, the cut edges of the equality subcurves
+``d_Z = p_a(Z) - 1``.  No edge enters an equality subcurve in *any*
+realizing orientation, so those edges, and the way each points, do not
+depend on which orientation was found.  A stable orientation, when one
+exists, is the depth-first orientation ``dual_graph.dfs_ends``, whose
+cross edges are the bridges.
 
 The enumeration uses the subcurve form, in orientation coordinates.
 Shifting by ``genus(v) + loops(v) - 1`` leaves ``b_v``, the non-loop
@@ -39,10 +42,9 @@ package's main self-checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .dual_graph import DualGraph, connected_subsets
+from .dual_graph import DualGraph, connected_subsets, cross_edges, dfs_ends
 
 Multidegree = tuple  # tuple[int, ...], one entry per vertex
 
@@ -124,58 +126,6 @@ def _orient(graph: DualGraph, d):
     return ends
 
 
-def _strong_components(graph: DualGraph, ends) -> list[int]:
-    """Strong-component label per vertex of the non-loop edges oriented
-    toward ``ends`` (iterative Tarjan)."""
-    n = graph.num_vertices
-    succ = [[] for _ in range(n)]
-    for (a, b), end in zip(graph.edges, ends):
-        if a != b:
-            succ[a + b - end].append(end)
-    index = [-1] * n
-    low = [0] * n
-    label = [-1] * n
-    stack: list[int] = []
-    counter = components = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if label[w] == -1:  # w is still on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        label[w] = components
-                        if w == v:
-                            break
-                    components += 1
-    return label
-
-
-def _cross_edges(graph: DualGraph, ends) -> tuple[int, ...]:
-    """Edges joining two distinct strong components of the orientation."""
-    label = _strong_components(graph, ends)
-    return tuple(e for e, (a, b) in enumerate(graph.edges) if label[a] != label[b])
-
-
 def is_semistable(graph: DualGraph, d) -> bool:
     """Whether ``d_Z >= p_a(Z) - 1`` for every nonempty connected subcurve,
     decided as: some orientation realizes ``d``.
@@ -195,7 +145,7 @@ def is_stable(graph: DualGraph, d) -> bool:
     genus), which also forces the per-component totals.
     """
     ends = _orient(graph, d)
-    return ends is not None and not _cross_edges(graph, ends)
+    return ends is not None and not cross_edges(graph, ends)
 
 
 # -- enumeration, in the subcurve form ---------------------------------
@@ -283,14 +233,13 @@ def orientation_ends(graph: DualGraph, orientation) -> list[int]:
     """Ending vertex of each edge under the orientation."""
     if len(orientation) != graph.num_edges:
         raise ValueError("orientation length does not match edge count")
-    ends = []
-    for e, (u, v) in enumerate(graph.edges):
-        ends.append(v if orientation[e] == 0 else u)
-    return ends
+    return [v if o == 0 else u for (u, v), o in zip(graph.edges, orientation)]
 
 
-def ending_half_edge(graph: DualGraph, orientation, e: int) -> tuple[int, int]:
-    return (e, 2 if orientation[e] == 0 else 1)
+def _orientation(graph: DualGraph, ends) -> tuple[int, ...]:
+    """The orientation whose ending vertices are ``ends`` (0 when an edge
+    ends at its second vertex, as every loop does)."""
+    return tuple(0 if end == v else 1 for (_u, v), end in zip(graph.edges, ends))
 
 
 def multidegree_of_orientation(graph: DualGraph, orientation) -> Multidegree:
@@ -313,51 +262,17 @@ def is_stable_orientation(graph: DualGraph, orientation) -> bool:
     pass vacuously.  The subset scan of the definition is the test
     suite's oracle for this.
     """
-    return not _cross_edges(graph, orientation_ends(graph, orientation))
+    return not cross_edges(graph, orientation_ends(graph, orientation))
 
 
 def find_stable_orientation(graph: DualGraph):
     """A stable orientation, or ``None`` exactly when the graph has a bridge.
 
-    Depth-first search orienting tree edges away from the root and every
-    other edge toward the earlier-discovered endpoint; on a bridgeless
-    component this is strongly connected (Robbins 1939).
+    The depth-first orientation ``dfs_ends``, whose cross edges are the
+    bridges; without them it is strongly connected on every component.
     """
-    if graph.bridges():
-        return None
-    orientation = [0] * graph.num_edges
-    disc = [-1] * graph.num_vertices
-    adj = graph.adjacency()
-    counter = itertools.count()
-    oriented = [graph.is_loop(e) for e in range(graph.num_edges)]
-
-    def orient(e, start):
-        u, _ = graph.edges[e]
-        orientation[e] = 0 if start == u else 1
-        oriented[e] = True
-
-    for root in range(graph.num_vertices):
-        if disc[root] != -1:
-            continue
-        disc[root] = next(counter)
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for e, w in it:
-                if oriented[e]:
-                    continue
-                if disc[w] == -1:
-                    orient(e, v)  # tree edge, away from the root
-                    disc[w] = next(counter)
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                # back edge, toward the ancestor
-                orient(e, v if disc[v] > disc[w] else w)
-            if not advanced:
-                stack.pop()
-    return tuple(orientation)
+    ends = dfs_ends(graph)
+    return None if cross_edges(graph, ends) else _orientation(graph, ends)
 
 
 # -- destabilizing nodes and stabilization ------------------------------
@@ -403,8 +318,8 @@ def stabilize(graph: DualGraph, d) -> StabilizationResult:
     ends = _orient(graph, d)
     if ends is None:
         raise ValueError("multidegree is not semistable")
-    destab = _cross_edges(graph, ends)
-    witness = tuple(0 if end == v else 1 for (_u, v), end in zip(graph.edges, ends))
+    destab = cross_edges(graph, ends)
+    witness = _orientation(graph, ends)
     stable = list(d)
     for e in destab:
         stable[ends[e]] -= 1
@@ -412,7 +327,7 @@ def stabilize(graph: DualGraph, d) -> StabilizationResult:
         destabilizing_set=destab,
         stable_degree=tuple(stable),
         witness_orientation=witness,
-        ending_halves={e: ending_half_edge(graph, witness, e) for e in destab},
+        ending_halves={e: (e, 2 if witness[e] == 0 else 1) for e in destab},
         degree_unique=True,
     )
 

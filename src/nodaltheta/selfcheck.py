@@ -196,13 +196,28 @@ def _check_genus_identities(fast):
     return True, f"{checked} decorated graphs and edge subsets"
 
 
+def _interleaved_union(a: DualGraph, b: DualGraph) -> DualGraph:
+    """Disjoint union whose vertices alternate between the two graphs
+    (``a`` at even labels, ``b`` at odd ones, while both last)."""
+    slots = sorted([(v, 0) for v in range(a.num_vertices)]
+                   + [(v, 1) for v in range(b.num_vertices)])
+    label = {slot: i for i, slot in enumerate(slots)}
+    genera = tuple((a, b)[side].genera[v] for v, side in slots)
+    edges = tuple((label[u, side], label[v, side])
+                  for side, g in enumerate((a, b)) for u, v in g.edges)
+    return DualGraph(genera, edges)
+
+
 def _check_bridges(fast):
-    checked = 0
-    for g in connected_multigraphs(3 if fast else 4, 4 if fast else 6):
+    # connected graphs, and disjoint unions with interleaved labels, so the
+    # depth-first search restarts in the middle of the vertex order
+    family = list(connected_multigraphs(3 if fast else 4, 4 if fast else 6))
+    small = list(connected_multigraphs(2 if fast else 3, 3 if fast else 4))
+    family += [_interleaved_union(a, b) for a, b in itertools.product(small, repeat=2)]
+    for g in family:
         if g.bridges() != brute_bridges(g):
             return False, f"bridge mismatch on {g.edges}"
-        checked += 1
-    return True, f"{checked} graphs vs removal oracle"
+    return True, f"{len(family)} graphs vs removal oracle, {len(small) ** 2} disconnected"
 
 
 def _check_spanning_forest(fast):

@@ -367,6 +367,9 @@ class TestErrors:
          "--degrees: need 2 entries in vertex order"),
         (["wcount", "SPEC", "--degrees", "0,1,2"], "--degrees: need 2 entries in vertex order"),
         (["wcount", "SPEC", "--degrees", "a"], "--degrees: need comma-separated integers"),
+        (["abel", "SPEC", "--points", "5:3"], "--points: entry 0: vertex 5 out of range"),
+        (["abel", "SPEC", "--points=-1:3"], "--points: entry 0: vertex -1 out of range"),
+        (["abel", "SPEC", "--points", "1:5,2:3"], "--points: entry 1: vertex 2 out of range"),
     ])
     def test_degree_flag_field_path(self, capsys, theta_spec, argv, message):
         argv = [theta_spec if a == "SPEC" else a for a in argv]

@@ -210,6 +210,11 @@ class TestAbelImage:
         with pytest.raises(ValueError, match="collides"):
             abel_image(curve, [(1, (0, 1))])
 
+    @pytest.mark.parametrize("vertex", [2, -1])
+    def test_rejects_vertex_off_curve(self, vertex):
+        with pytest.raises(ValueError, match=f"vertex {vertex} is not on the curve"):
+            abel_image(theta_curve(11), [(1, 5), (vertex, 3)])
+
     def test_repeated_points_allowed(self):
         curve = theta_curve(11)
         bundle = abel_image(curve, [(1, 5), (1, 5)])
@@ -268,6 +273,19 @@ class TestWCount:
         assert (result.count, result.total) == (1, 1)
         assert w_count(curve, (-1, -1)).count == 0
 
+    @pytest.mark.parametrize("degrees, r", [((0, 1, -1), 0), ((0, 1, -1), 1),
+                                            ((-1, 0, -1), 0), ((1, 1, 1), 1)])
+    def test_forest_counts_in_both_modes(self, degrees, r):
+        # a path of three lines: the torus is one point, and a sample
+        # counts it once per draw
+        graph = DualGraph((0, 0, 0), ((0, 1), (1, 2)))
+        curve = GraphCurve(graph, 11, {(0, 1): (0, 1), (0, 2): (0, 1),
+                                       (1, 1): (1, 1), (1, 2): (0, 1)})
+        want = brute_torus_count(curve, degrees, r)
+        assert w_count(curve, degrees, r=r).count == want
+        result = w_count(curve, degrees, r=r, mode="sample", sample_size=1000, seed=1)
+        assert (result.count, result.total) == (1000 * want, 1000)
+
     def test_edgeless_curve(self):
         curve = GraphCurve(DualGraph((0,), ()), 7, {})
         assert h0(curve, GluedLineBundle((3,), ())) == 4
@@ -279,10 +297,11 @@ class TestWCount:
         assert result.count == 0
         assert result.exponent_estimate is None
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("THETA_STRATA_BUDGET", "10")
         curve = theta_curve(11)
         with pytest.raises(BudgetExceededError):
-            w_count(curve, (0, 1), budget=10)
+            w_count(curve, (0, 1))
 
     @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-5"])
     def test_budget_setting_rejected(self, monkeypatch, raw):

@@ -262,18 +262,20 @@ def test_zero_count_without_free_scalars():
     assert ThetaPolynomial(5, (), (), ()).zero_count() == 1
 
 
-def test_zero_count_at_large_prime():
+def test_zero_count_at_large_prime(monkeypatch):
     # exact object integers above 2^31: 3*c0 - 5 has the one root 5/3
     p = 2147483659
+    monkeypatch.setenv("THETA_STRATA_BUDGET", str(p))
     poly = ThetaPolynomial(p, (0,), (((0,), p - 5), ((1,), 3)), ("c0",))
-    assert poly.zero_count(budget=p) == 1
-    assert ThetaPolynomial(p, (0,), (((1,), 3),), ("c0",)).zero_count(budget=p) == 0
+    assert poly.zero_count() == 1
+    assert ThetaPolynomial(p, (0,), (((1,), 3),), ("c0",)).zero_count() == 0
 
 
-def test_zero_count_budget_caps_the_torus():
+def test_zero_count_budget_caps_the_torus(monkeypatch):
     poly = symbolic_theta_polynomial(rational_curve(11, GENERIC_PAIRS), (3,))
+    monkeypatch.setenv("THETA_STRATA_BUDGET", "9999")
     with pytest.raises(BudgetExceededError) as info:
-        poly.zero_count(budget=9_999)
+        poly.zero_count()
     assert (info.value.cost, info.value.budget) == (10_000, 9_999)
 
 
