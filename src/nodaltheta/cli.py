@@ -378,6 +378,10 @@ def _cmd_wcount(args) -> int:
         primes = [spec.get("field_prime")]
     if args.r < 0:
         raise SpecError("--r", "need a nonnegative integer")
+    if args.mode != "sample" and args.samples is not None:
+        raise SpecError("--samples", "only sample mode takes a sample count")
+    if args.mode != "sample" and args.seed is not None:
+        raise SpecError("--seed", "only sample mode takes a seed")
     if args.samples is not None and args.samples < 1:
         raise SpecError("--samples", "need a positive integer")
     if args.mode == "sample" and args.samples is None:

@@ -98,11 +98,6 @@ class DualGraph:
         inner = sum(1 for u, v in self.edges if u in sub and v in sub)
         return genus_sum + inner - len(sub) + 1
 
-    def induced_edges(self, vertices) -> tuple[int, ...]:
-        """Edges with both endpoints in ``vertices`` (loops included)."""
-        sub = frozenset(vertices)
-        return tuple(e for e, (u, v) in enumerate(self.edges) if u in sub and v in sub)
-
     # -- connectivity -------------------------------------------------
 
     def adjacency(self):

@@ -310,9 +310,9 @@ class SectionSpace:
     dim: int
 
 
-def section_space(curve: GraphCurve, bundle: GluedLineBundle, vanishing=()) -> SectionSpace:
+def section_space(curve: GraphCurve, bundle: GluedLineBundle) -> SectionSpace:
     _check_bundle(curve, bundle)
-    rows, total = _gluing_matrix(curve, bundle, vanishing)
+    rows, total = _gluing_matrix(curve, bundle)
     vectors = nullspace(rows, total, curve.prime)
     offsets, _ = _block_layout(bundle.degrees)
     sections = []
@@ -397,14 +397,9 @@ def blow_up_curve(curve: GraphCurve, edge_subset, bundle: GluedLineBundle,
     s = sorted(frozenset(edge_subset))
     _check_bundle(curve, bundle, skip=frozenset(s))
     graph, exceptional = curve.graph.blow_up(s)
-    kept = [e for e in range(curve.graph.num_edges) if e not in frozenset(s)]
-    branch = {}
-    gluing = []
-    for new_e, old_e in enumerate(kept):
-        branch[(new_e, 1)] = curve.branch[(old_e, 1)]
-        branch[(new_e, 2)] = curve.branch[(old_e, 2)]
-        gluing.append(bundle.gluing[old_e])
-    next_e = len(kept)
+    branch = dict(delete_edges(curve, s).branch)
+    gluing = list(restrict_bundle(curve, bundle, s).gluing)
+    next_e = len(gluing)
     exceptional_gluing = exceptional_gluing or {}
     for old_e in s:
         c1, c2 = exceptional_gluing.get(old_e, (1, 1))
@@ -558,17 +553,20 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
 
     On a square system (``normalization_h0(degrees)`` equal to the number
     of nodes) the theta determinant f decides, when its 2^k determinants
-    are fewer than the points.  For r = 0 the bundles counted are its
-    zeros: ``ThetaPolynomial.zero_count`` over the torus, or its values at
-    the same seeded draws.  For r >= 1 the matrix has rank at most n - 2,
-    so in the split f = x*g + h in the last free scalar x, g and h (up to
+    are fewer than the points; ``symbolic_theta_polynomial`` builds it and
+    charges them to the budget, which in exhaustive mode they always fit.
+    For r = 0 the bundles counted are its zeros:
+    ``ThetaPolynomial.zero_count`` over the torus, or its values at the
+    same seeded draws.  For r >= 1 the matrix has rank at most n - 2, so
+    in the split f = x*g + h in the last free scalar x, g and h (up to
     sign the determinants with that node's row replaced by ``row1`` or by
     ``row2``, which keep the other n - 1 rows) both vanish at the other
     scalars y; only the points (y, x) over such y, or the draws there, are
-    ranked.  Otherwise ``rank_scan`` ranks every point: for non-square
-    degrees, for an identically zero f with r >= 1, and when the points
-    are too few (p <= 3, or at most 2^k samples).  With no free edge the
-    torus is one point, ranked once however many draws land on it.
+    ranked (every point when f is identically zero).  Otherwise
+    ``rank_scan`` ranks every point: for non-square degrees, and when the
+    points are too few (p <= 3, or at most 2^k samples).  With no free
+    edge the torus is one point, ranked once however many draws land on
+    it.
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
@@ -595,11 +593,9 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
     elif 2 ** k >= total or normalization_h0(degrees) != curve.graph.num_edges:
         count = rank_scan(curve, degrees, r, total, rng)
     else:
-        poly = _theta_polynomial(curve, degrees)
+        poly = symbolic_theta_polynomial(curve, degrees)
         if r == 0:
             count = poly.zero_count() if rng is None else poly._zeros_among(total, rng)
-        elif poly.is_identically_zero:
-            count = rank_scan(curve, degrees, r, total, rng)
         else:
             count = _rank_points(curve, degrees, r, poly._double_zeros(total, rng))
     exponent = math.log(count) / math.log(p) if count > 0 else None
@@ -752,11 +748,14 @@ def classify_one_node(curve: GraphCurve, edge: int, bundle: GluedLineBundle,
     """Classify the bundles over one node by branch-point drops.
 
     The bundle's scalar at ``edge`` is ignored; all other scalars are
-    fixed.  Only linked branches have a special gluing: there the
-    evaluations at q1 and q2 of the separated curve's sections are
-    nonzero with one kernel, so the gluing row ``row2 - c*row1`` kills
-    every section exactly at c* = phi2(s)/phi1(s) for any s with
-    phi1(s) != 0.  The exhaustive scalar scan is the checks' oracle.
+    fixed.  Every count is read off one basis of the separated curve's
+    sections, by phi1, their values at q1, and phi2, at q2: dropping q1
+    keeps a - [phi1 != 0] of the a sections, q2 a - [phi2 != 0], and both
+    a - rank(phi1; phi2).  Only linked branches have a special gluing:
+    there phi1 and phi2 are nonzero with one kernel, so the gluing row
+    ``row2 - c*row1`` kills every section exactly at c* = phi2(s)/phi1(s)
+    for any s with phi1(s) != 0.  The exhaustive scalar scan is the
+    checks' oracle.
     """
     p = curve.prime
     _check_bundle(curve, bundle, skip={edge})
@@ -767,9 +766,9 @@ def classify_one_node(curve: GraphCurve, edge: int, bundle: GluedLineBundle,
     q2 = curve.branch[(edge, 2)]
     sections = section_space(separated, restricted).basis
     a = len(sections)
-    b1 = h0(separated, restricted, vanishing=[(u, q1, 1)])
-    b2 = h0(separated, restricted, vanishing=[(v, q2, 1)])
-    ab = h0(separated, restricted, vanishing=[(u, q1, 1), (v, q2, 1)])
+    phi1 = [evaluate_form(sec[u], q1, p) for sec in sections]
+    phi2 = [evaluate_form(sec[v], q2, p) for sec in sections]
+    b1, b2, ab = a - any(phi1), a - any(phi2), a - rank([phi1, phi2], p)
 
     special_c = None
     if a == 0:
@@ -782,11 +781,8 @@ def classify_one_node(curve: GraphCurve, edge: int, bundle: GluedLineBundle,
         case, generic, special = "independent_branches", a - 1, None
     else:
         case, generic, special = "linked_branches", a - 1, a
-        for sec in sections:
-            phi1 = evaluate_form(sec[u], q1, p)
-            if phi1:
-                special_c = evaluate_form(sec[v], q2, p) * inverse(phi1, p) % p
-                break
+        i = next(j for j, x in enumerate(phi1) if x)
+        special_c = phi2[i] * inverse(phi1[i], p) % p
 
     if special is None:
         histogram = ((generic, p - 1),)
@@ -891,7 +887,11 @@ class ThetaPolynomial:
     prime: int
     free_edges: tuple[int, ...]
     terms: tuple         # ((exponent tuple, coefficient), ...) sorted
-    variables: tuple[str, ...]
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        """Names of the free scalars, ``c<edge>``."""
+        return tuple(f"c{e}" for e in self.free_edges)
 
     @property
     def is_identically_zero(self) -> bool:
@@ -1061,16 +1061,11 @@ def symbolic_theta_polynomial(curve: GraphCurve, degrees) -> ThetaPolynomial:
         raise ValueError(
             f"square case needed: normalization h^0 {l} != {curve.graph.num_edges} nodes"
         )
-    cost, limit = 2 ** len(free_gluing_edges(curve)), rank_budget()
-    if cost > limit:
-        raise BudgetExceededError(cost, limit)
-    return _theta_polynomial(curve, degrees)
-
-
-def _theta_polynomial(curve: GraphCurve, degrees) -> ThetaPolynomial:
-    """The determinant of a square gluing system, with no budget check."""
     p = curve.prime
     free = free_gluing_edges(curve)
+    cost, limit = 2 ** len(free), rank_budget()
+    if cost > limit:
+        raise BudgetExceededError(cost, limit)
     pairs, _ = _edge_rows(curve, degrees)
     forest_rows = [[(b - a) % p for a, b in zip(row1, row2)] for row1, row2 in pairs]
     terms = []
@@ -1081,5 +1076,4 @@ def _theta_polynomial(curve: GraphCurve, degrees) -> ThetaPolynomial:
         coeff = (-1) ** sum(expo) * determinant(rows, p) % p
         if coeff:
             terms.append((expo, coeff))
-    return ThetaPolynomial(prime=p, free_edges=free, terms=tuple(terms),
-                           variables=tuple(f"c{e}" for e in free))
+    return ThetaPolynomial(prime=p, free_edges=free, terms=tuple(terms))

@@ -222,6 +222,18 @@ def two_cycle_curve(prime: int) -> GraphCurve:
     return GraphCurve(graph, prime, branch)
 
 
+def two_loops_two_nodes_curve(prime: int) -> GraphCurve:
+    """Two loops on one line plus two nodes to a second line; with degrees
+    (0, 2) every gluing admits a section, so its theta determinant is
+    identically zero."""
+    graph = DualGraph((0, 0), ((0, 0), (0, 0), (0, 1), (0, 1)))
+    branch = {(0, 1): (0, 1), (0, 2): (1, 1),
+              (1, 1): (2, 1), (1, 2): (3, 1),
+              (2, 1): (4, 1), (2, 2): (0, 1),
+              (3, 1): INFINITY, (3, 2): (1, 1)}
+    return GraphCurve(graph, prime, branch)
+
+
 @pytest.fixture
 def rng():
     return random.Random(987654321)

@@ -265,7 +265,7 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_sампle_seed_reproducible(self, capsys, theta_spec):
+    def test_sample_seed_reproducible(self, capsys, theta_spec):
         args = ["wcount", theta_spec, "--degrees", "0,1", "--mode", "sample",
                 "--samples", "50", "--seed", "9", "--format", "json"]
         run(args)
@@ -416,6 +416,8 @@ class TestErrors:
         (["--mode", "sample", "--samples", "0", "--seed", "1"], "--samples"),
         (["--mode", "sample", "--seed", "1"], "--samples"),
         (["--r", "-2"], "--r"),
+        (["--samples", "9"], "--samples"),
+        (["--seed", "5"], "--seed"),
     ])
     def test_wcount_bad_counts(self, capsys, theta_spec, extra, path):
         assert run(["wcount", theta_spec, "--degrees", "0,1"] + extra) == 2

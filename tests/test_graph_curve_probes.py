@@ -3,22 +3,30 @@ import random
 
 import pytest
 
-from conftest import brute_node_scan, brute_rank, theta_curve, two_cycle_curve
+from conftest import (
+    brute_node_scan,
+    brute_rank,
+    random_rational_curve,
+    theta_curve,
+    two_cycle_curve,
+    two_loops_two_nodes_curve,
+)
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.graph_curve import (
-    INFINITY,
     BudgetExceededError,
     GluedLineBundle,
     GraphCurve,
     ThetaPolynomial,
     abel_image,
     classify_one_node,
+    delete_edges,
     forced_vanishing_nodes,
     h0,
     hyperelliptic_rational,
     node_quadric,
     rank_scan,
     rational_curve,
+    restrict_bundle,
     section_space,
     symbolic_theta_polynomial,
     w_count,
@@ -175,6 +183,29 @@ class TestClassifyOneNode:
         assert classify_one_node(curve, 0, bundle, r=1).locus == "all"
         assert classify_one_node(curve, 0, bundle, r=2).locus == "empty"
 
+    def test_twists_match_vanishing_conditions(self):
+        # the twists are read off one section basis; each is h0 of the
+        # separated curve with vanishing imposed at the dropped points
+        rng = random.Random(26)
+        cases = set()
+        for _ in range(300):
+            curve = random_rational_curve(rng, 7, max_v=3, max_e=4)
+            edge = rng.randrange(curve.graph.num_edges)
+            degrees = tuple(rng.randrange(-1, 3) for _ in range(curve.graph.num_vertices))
+            gluing = tuple(rng.randrange(1, 7) for _ in range(curve.graph.num_edges))
+            bundle = GluedLineBundle(degrees, gluing)
+            report = classify_one_node(curve, edge, bundle)
+            separated = delete_edges(curve, {edge})
+            restricted = restrict_bundle(curve, bundle, {edge})
+            drop1 = (curve.graph.edges[edge][0], curve.branch[(edge, 1)], 1)
+            drop2 = (curve.graph.edges[edge][1], curve.branch[(edge, 2)], 1)
+            assert (report.h0_base, report.h0_minus_q1, report.h0_minus_q2,
+                    report.h0_minus_both) == tuple(
+                h0(separated, restricted, vanishing) for vanishing in
+                ((), [drop1], [drop2], [drop1, drop2])), report
+            cases.add(report.case)
+        assert len(cases) == 5
+
 
 class TestHyperelliptic:
     def test_square_map_fibers(self):
@@ -261,7 +292,7 @@ class TestSymbolicDeterminant:
     ])
     def test_factor_count_counts_irreducible_factors(self, terms, variables, want):
         poly = ThetaPolynomial(prime=5, free_edges=tuple(range(len(variables))),
-                               terms=terms, variables=variables)
+                               terms=terms)
         assert poly.factor_count() == want
 
     @pytest.mark.parametrize("p", [5, 7])
@@ -275,15 +306,9 @@ class TestSymbolicDeterminant:
         assert poly.zero_count() == w_count(curve, (0, 1)).count
 
     def test_identically_zero_for_non_semistable(self):
-        # two loops on one component plus two connecting nodes; putting
-        # all the degree on the far side violates the subcurve bound and
-        # every gluing admits a section
-        graph = DualGraph((0, 0), ((0, 0), (0, 0), (0, 1), (0, 1)))
-        branch = {(0, 1): (0, 1), (0, 2): (1, 1),
-                  (1, 1): (2, 1), (1, 2): (3, 1),
-                  (2, 1): (4, 1), (2, 2): (0, 1),
-                  (3, 1): INFINITY, (3, 2): (1, 1)}
-        curve = GraphCurve(graph, 7, branch)
+        # putting all the degree on the far side violates the subcurve
+        # bound and every gluing admits a section
+        curve = two_loops_two_nodes_curve(7)
         degrees = (0, 2)
         assert not is_semistable(curve.graph, degrees)
         poly = symbolic_theta_polynomial(curve, degrees)

@@ -15,6 +15,7 @@ from conftest import (
     random_rational_curve,
     square_degrees,
     theta_curve,
+    two_loops_two_nodes_curve,
 )
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.graph_curve import (
@@ -93,8 +94,7 @@ def test_factor_count_of_random_products(p):
             poly = {tuple(a + b for a, b in zip(e1, e2)): c1 * c2 % p
                     for e1, c1 in poly.items() for e2, c2 in factor.items()}
         terms = tuple(sorted((e, c) for e, c in poly.items() if c))
-        theta = ThetaPolynomial(prime=p, free_edges=tuple(range(k)), terms=terms,
-                                variables=tuple(f"c{i}" for i in range(k)))
+        theta = ThetaPolynomial(prime=p, free_edges=tuple(range(k)), terms=terms)
         count = theta.factor_count()
         assert count == brute_factor_count(terms, p), terms
         assert count is None or count >= nonconstant
@@ -192,15 +192,28 @@ def test_genus_four_counts_match_rank_scan(pairs, p):
 def test_sample_counts_match_rank_scan(seed):
     # the same seeded draws, in the same order, on both paths; for r = 1
     # w_count ranks only the draws over g = h = 0, and on the hyperelliptic
-    # genus-3 curve at p = 7 the g^1_2 is one of the 216 torus points
+    # genus-3 curve at p = 7 the g^1_2 is one of the 216 torus points; on
+    # the last curve f is identically zero, so it ranks every draw
     banana = GraphCurve(DualGraph((0, 0), ((0, 1),) * 4), 17,
                         {(e, side): (e + side - 1, 1) for e in range(4) for side in (1, 2)})
     theta = rational_curve(13, [(1, 2), (3, 4), (5, 6)])
     hyperelliptic = rational_curve(7, HYPERELLIPTIC_PAIRS[:3])
-    for curve, degrees in ((banana, (1, 1)), (theta, (2,)), (hyperelliptic, (2,))):
+    for curve, degrees in ((banana, (1, 1)), (theta, (2,)), (hyperelliptic, (2,)),
+                           (two_loops_two_nodes_curve(7), (0, 2))):
         for r in (0, 1):
             result = w_count(curve, degrees, r=r, mode="sample", sample_size=700, seed=seed)
             assert result.count == rank_scan(curve, degrees, r, 700, random.Random(seed))
+
+
+def test_sample_mode_budgets_the_determinants(monkeypatch):
+    # 700 draws take the determinant path, whose 2^3 determinants are
+    # charged to the budget as in every other caller
+    monkeypatch.setenv("THETA_STRATA_BUDGET", "4")
+    curve = two_loops_two_nodes_curve(7)
+    assert len(free_gluing_edges(curve)) == 3
+    with pytest.raises(BudgetExceededError) as info:
+        w_count(curve, (0, 2), mode="sample", sample_size=700, seed=3)
+    assert (info.value.cost, info.value.budget) == (8, 4)
 
 
 # -- W^r for r >= 1: ranking the points over g = h = 0 ---------------------
@@ -258,17 +271,17 @@ def test_w1_sample_at_large_prime(degrees):
 
 
 def test_zero_count_without_free_scalars():
-    assert ThetaPolynomial(5, (), (((), 3),), ()).zero_count() == 0
-    assert ThetaPolynomial(5, (), (), ()).zero_count() == 1
+    assert ThetaPolynomial(5, (), (((), 3),)).zero_count() == 0
+    assert ThetaPolynomial(5, (), ()).zero_count() == 1
 
 
 def test_zero_count_at_large_prime(monkeypatch):
     # exact object integers above 2^31: 3*c0 - 5 has the one root 5/3
     p = 2147483659
     monkeypatch.setenv("THETA_STRATA_BUDGET", str(p))
-    poly = ThetaPolynomial(p, (0,), (((0,), p - 5), ((1,), 3)), ("c0",))
+    poly = ThetaPolynomial(p, (0,), (((0,), p - 5), ((1,), 3)))
     assert poly.zero_count() == 1
-    assert ThetaPolynomial(p, (0,), (((1,), 3),), ("c0",)).zero_count() == 0
+    assert ThetaPolynomial(p, (0,), (((1,), 3),)).zero_count() == 0
 
 
 def test_zero_count_budget_caps_the_torus(monkeypatch):
