@@ -158,24 +158,16 @@ def load_spec(path: str) -> dict:
         raise SpecError(path, f"invalid JSON: {exc}") from exc
 
 
-def _parse_degrees(raw: str, n: int, flag: str):
+def _parse_ints(raw: str, n: int, flag: str, order: str = "vertex"):
+    """``n`` comma-separated integers given with ``flag``, one per vertex
+    or per edge (``order``)."""
     try:
-        degrees = tuple(int(x) for x in raw.split(","))
+        values = tuple(int(x) for x in raw.split(","))
     except ValueError as exc:
         raise SpecError(flag, "need comma-separated integers") from exc
-    if len(degrees) != n:
-        raise SpecError(flag, f"need {n} entries in vertex order")
-    return degrees
-
-
-def _parse_gluing(raw: str, n: int):
-    try:
-        gluing = tuple(int(x) for x in raw.split(","))
-    except ValueError as exc:
-        raise SpecError("--gluing", "need comma-separated integers") from exc
-    if len(gluing) != n:
-        raise SpecError("--gluing", f"need {n} entries in edge order")
-    return gluing
+    if len(values) != n:
+        raise SpecError(flag, f"need {n} entries in {order} order")
+    return values
 
 
 def _parse_points(raw: str, n: int):
@@ -281,7 +273,7 @@ def _cmd_orient(args) -> int:
 
 def _cmd_stabilize(args) -> int:
     graph = parse_graph(load_spec(args.spec))
-    d = _parse_degrees(args.degree, graph.num_vertices, "--degree")
+    d = _parse_ints(args.degree, graph.num_vertices, "--degree")
     result = stabilize(graph, d)
     results = {
         "input_degree": list(d),
@@ -309,26 +301,25 @@ def _cmd_strata(args) -> int:
     if args.format == "dot":
         sys.stdout.write(strata_poset_dot(graph, strata))
         return 0
-    if args.format == "json":
-        payload = json.loads(strata_to_json(strata, summary))
-        report = _report("strata", {"spec": args.spec, "theta": args.theta},
-                         payload, "json")
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return 0
-    lines = [f"{'S':<16} {'degree':<16} dim"]
+    # both views grow as 2^#nodes, so each is built only for its own format
+    results = json.loads(strata_to_json(strata, summary)) if args.format == "json" else None
+    report = _report("strata", {"spec": args.spec, "theta": args.theta}, results, args.format)
+    _emit(report, args.format, _strata_table(strata, summary))
+    return 0
+
+
+def _strata_table(strata, summary):
+    yield f"{'S':<16} {'degree':<16} dim"
     for s in strata:
         nodes = "{" + ",".join(str(e) for e in s.nodes) + "}"
         deg = "(" + ",".join(str(x) for x in s.degree) + ")"
-        lines.append(f"{nodes:<16} {deg:<16} {s.dim}")
+        yield f"{nodes:<16} {deg:<16} {s.dim}"
     if summary is not None:
-        lines.append(
+        yield (
             f"theta components: {summary.component_count} "
             f"(= {summary.pieces} pieces x {summary.stable_classes} classes; "
             f"effective {summary.effective_component_count})"
         )
-    for line in lines:
-        print(line)
-    return 0
 
 
 def _cmd_irreducible(args) -> int:
@@ -349,8 +340,8 @@ def _cmd_h0(args) -> int:
 
     spec = load_spec(args.spec)
     curve = parse_curve(spec)
-    degrees = _parse_degrees(args.degrees, curve.graph.num_vertices, "--degrees")
-    gluing = _parse_gluing(args.gluing, curve.graph.num_edges)
+    degrees = _parse_ints(args.degrees, curve.graph.num_vertices, "--degrees")
+    gluing = _parse_ints(args.gluing, curve.graph.num_edges, "--gluing", "edge")
     bundle = gc.GluedLineBundle(degrees, gluing)
     value = gc.h0(curve, bundle)
     results = {"h0": value, "prime": curve.prime,
@@ -392,7 +383,7 @@ def _cmd_wcount(args) -> int:
     counts = {}
     for p in primes:
         curve = parse_curve(spec, prime=p)
-        degrees = _parse_degrees(args.degrees, curve.graph.num_vertices, "--degrees")
+        degrees = _parse_ints(args.degrees, curve.graph.num_vertices, "--degrees")
         result = gc.w_count(curve, degrees, r=args.r, mode=args.mode,
                             sample_size=args.samples, seed=args.seed)
         counts[p] = result.count

@@ -33,9 +33,11 @@ import numpy as np
 from .dual_graph import DualGraph
 from .modp import (  # the budget names are re-exported for callers of the scans
     DEFAULT_RANK_BUDGET,
+    EXHAUSTIVE_SCAN,
     BudgetExceededError,
     BudgetSettingError,
     batch_rank,
+    charge,
     determinant,
     inverse,
     is_prime,
@@ -575,9 +577,7 @@ def w_count(curve: GraphCurve, degrees, r: int = 0, mode: str = "exhaustive",
     rng = used_seed = None
     if mode == "exhaustive":
         total = (p - 1) ** k
-        limit = rank_budget()
-        if total > limit:
-            raise BudgetExceededError(total, limit)
+        charge(total, EXHAUSTIVE_SCAN)
     elif mode == "sample":
         if sample_size is None or seed is None:
             raise ValueError("sample mode needs sample_size and seed")
@@ -918,10 +918,7 @@ class ThetaPolynomial:
         """
         p = self.prime
         k = len(self.free_edges)
-        cost = (p - 1) ** k
-        limit = rank_budget()
-        if cost > limit:
-            raise BudgetExceededError(cost, limit)
+        charge((p - 1) ** k, EXHAUSTIVE_SCAN)
         if k == 0:
             return int(self.is_identically_zero)
         count = 0
@@ -1063,9 +1060,7 @@ def symbolic_theta_polynomial(curve: GraphCurve, degrees) -> ThetaPolynomial:
         )
     p = curve.prime
     free = free_gluing_edges(curve)
-    cost, limit = 2 ** len(free), rank_budget()
-    if cost > limit:
-        raise BudgetExceededError(cost, limit)
+    charge(2 ** len(free), "theta determinant needs {} determinants")
     pairs, _ = _edge_rows(curve, degrees)
     forest_rows = [[(b - a) % p for a, b in zip(row1, row2)] for row1, row2 in pairs]
     terms = []

@@ -9,25 +9,30 @@ whole stack at once with numpy.  numpy is imported by ``batch_rank`` and
 ``stack_dtype`` alone, so the single-matrix routines and the budget below
 load without it.
 
-The rank budget caps the rank computations of one exhaustive scan;
-``THETA_STRATA_BUDGET`` overrides the default.
+The rank budget caps the work of one computation, the rank computations
+of an exhaustive scan or the determinants of a theta polynomial;
+``THETA_STRATA_BUDGET`` overrides the default.  ``charge`` is the one
+check against it.
 """
 
 from __future__ import annotations
 
 import os
 
-#: Default cap on the number of rank computations in one exhaustive scan.
+#: Default cap on the work of one computation, in rank computations or
+#: determinants.
 DEFAULT_RANK_BUDGET = 20_000_000
+
+#: What an exhaustive scan charges, as a ``charge`` message template.
+EXHAUSTIVE_SCAN = "exhaustive scan needs {} rank computations"
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive scan would need more rank computations than allowed."""
+    """A computation would need more work than the budget allows; ``work``
+    is a template that names the work, filled in with ``cost``."""
 
-    def __init__(self, cost: int, budget: int):
-        super().__init__(
-            f"exhaustive scan needs {cost} rank computations, budget is {budget}"
-        )
+    def __init__(self, cost: int, budget: int, work: str):
+        super().__init__(f"{work.format(cost)}, budget is {budget}")
         self.cost = cost
         self.budget = budget
 
@@ -50,6 +55,14 @@ def rank_budget() -> int:
     if budget < 1:
         raise BudgetSettingError(problem)
     return budget
+
+
+def charge(cost: int, work: str) -> None:
+    """Refuse with ``BudgetExceededError`` when ``cost`` units of ``work``
+    (a template such as ``EXHAUSTIVE_SCAN``) exceed the active budget."""
+    budget = rank_budget()
+    if cost > budget:
+        raise BudgetExceededError(cost, budget, work)
 
 
 #: Miller-Rabin with the prime bases up to 41 is exact below this bound,
@@ -133,15 +146,11 @@ def rank(rows, p) -> int:
 
 
 def nullity(rows, ncols, p) -> int:
-    if not rows:
-        return ncols
     return ncols - rank(rows, p)
 
 
 def nullspace(rows, ncols, p):
     """Basis of the right kernel, one vector per free column of the RREF."""
-    if not rows:
-        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
     work = [list(r) for r in rows]
     pivots, _ = row_echelon(work, p)
     pivot_set = set(pivots)

@@ -367,15 +367,22 @@ def _check_irreducibility_predicates(fast):
 def _check_theta_bookkeeping(fast):
     checked = 0
     for dec in _decorated(3, 4 if fast else 5):
-        _, summary = st.theta_strata(dec)
+        strata, summary = st.theta_strata(dec)
         bridges = dec.delete_edges(dec.bridges())
         b = len(md.enumerate_stable(bridges))
         c = len(bridges.connected_components())
         if summary.component_count != c * b:
             return False, f"component count off on {dec}"
-        # the predicate skips the strata; the summary is built from them
         if st.is_theta_irreducible(dec) != (summary.pieces == summary.stable_classes == 1):
             return False, f"theta predicate vs strata summary on {dec}"
+        # the summary skips the strata; the ones at the bridges must match it
+        separating = dec.bridges()
+        top = [s for s in strata if s.nodes == separating]
+        if len(top) != summary.stable_classes:
+            return False, f"theta strata at the bridges vs summary on {dec}"
+        if top != [st.Stratum(s.nodes, s.degree, s.dim - 1, "theta")
+                   for s in st.smooth_locus_strata(dec)]:
+            return False, f"theta strata at the bridges vs smooth locus on {dec}"
         g_total = dec.arithmetic_genus()
         for s in st.enumerate_picard_strata(dec):
             normalized = dec.delete_edges(s.nodes)

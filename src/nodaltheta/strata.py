@@ -4,8 +4,9 @@ its theta divisor, by pairs (node subset, stable multidegree).
 A stratum is indexed by a subset ``S`` of the nodes together with a stable
 multidegree on the normalization at ``S``; its dimension is
 ``g - #S + (#components of the normalization) - 1``.  The theta divisor
-shares the same index set, with stratum dimensions given by the effective
-locus on the normalization.
+shares the same index set; on each stratum it is the effective locus of
+the normalization, a divisor there or empty, so its strata are the Picard
+strata one dimension down.
 
 Closure between strata is only ever reported as a *candidate* relation:
 the implemented conditions are necessary, not known to be sufficient.
@@ -60,12 +61,21 @@ def _edge_subsets(graph: DualGraph):
 
 def _stable_normalizations(graph: DualGraph):
     """Each node subset ``S`` whose normalization has a stable multidegree,
-    normalized once: ``(S, normalization, its components, stable classes)``."""
+    normalized once: ``(S, Picard stratum dimension, stable classes)``."""
+    g = graph.arithmetic_genus()
     for s in _edge_subsets(graph):
         normalized = graph.delete_edges(s)
         degrees = enumerate_stable(normalized)
         if degrees:
-            yield s, normalized, normalized.connected_components(), degrees
+            yield s, g - len(s) + len(normalized.connected_components()) - 1, degrees
+
+
+def _at_bridges(graph: DualGraph):
+    """The bridges, the normalization at them, its connected pieces and its
+    stable classes.  No edge-subset cap applies."""
+    bridges = graph.bridges()
+    normalized = graph.delete_edges(bridges)
+    return bridges, normalized, normalized.connected_components(), enumerate_stable(normalized)
 
 
 def enumerate_picard_strata(graph: DualGraph) -> list[Stratum]:
@@ -74,26 +84,17 @@ def enumerate_picard_strata(graph: DualGraph) -> list[Stratum]:
     Subsets whose normalization has no stable multidegree contribute
     nothing.  Output is sorted by (subset size, subset, degree).
     """
-    g = graph.arithmetic_genus()
-    out = []
-    for s, _, comps, degrees in _stable_normalizations(graph):
-        dim = g - len(s) + len(comps) - 1
-        out += (Stratum(nodes=s, degree=d, dim=dim, kind="picard") for d in degrees)
-    return out
+    return [Stratum(nodes=s, degree=d, dim=dim, kind="picard")
+            for s, dim, degrees in _stable_normalizations(graph) for d in degrees]
 
 
 def smooth_locus_strata(graph: DualGraph) -> list[Stratum]:
     """The strata indexed by exactly the separating nodes; these are the
-    top-dimensional (dimension g) ones, and there are ``stable_classes``
-    of them."""
-    bridges = graph.bridges()
-    g = graph.arithmetic_genus()
-    normalized = graph.delete_edges(bridges)
-    dim = g - len(bridges) + len(normalized.connected_components()) - 1
-    return [
-        Stratum(nodes=bridges, degree=d, dim=dim, kind="picard")
-        for d in enumerate_stable(normalized)
-    ]
+    top-dimensional ones, of dimension g + c - 1 on a graph with c
+    connected components, and there are ``stable_classes`` of them."""
+    bridges, _, pieces, degrees = _at_bridges(graph)
+    dim = graph.arithmetic_genus() - len(bridges) + len(pieces) - 1
+    return [Stratum(nodes=bridges, degree=d, dim=dim, kind="picard") for d in degrees]
 
 
 def closure_candidate(graph: DualGraph, s1: Stratum, s2: Stratum) -> bool:
@@ -124,39 +125,28 @@ def closure_candidate(graph: DualGraph, s1: Stratum, s2: Stratum) -> bool:
         return False
     branches = [0] * n
     for e in added:
-        u, v = graph.edges[e]
+        u, v = graph.edges[e]  # a loop puts both branches on u
         branches[u] += 1
-        if v != u:
-            branches[v] += 1
-        else:
-            branches[u] += 1
+        branches[v] += 1
     return all(drop[v] <= branches[v] for v in range(n))
 
 
 def theta_strata(graph: DualGraph) -> tuple[list[Stratum], ThetaSummary]:
     """Theta strata (same index set as the Picard strata) plus the
-    component-count summary.  A stratum's dimension is that of the
-    effective locus on its normalization: the sum of the component genera
-    minus one, or -1 when every component has genus 0 (empty locus)."""
-    bridges = graph.bridges()
-    out = []
-    stable_classes = 0
-    for s, normalized, comps, degrees in _stable_normalizations(graph):
-        genera = [normalized.arithmetic_genus(c) for c in comps]
-        dim = -1 if all(g == 0 for g in genera) else sum(genera) - 1
-        out += (Stratum(nodes=s, degree=d, dim=dim, kind="theta") for d in degrees)
-        if s == bridges:
-            stable_classes = len(degrees)
-    pieces_graph = graph.delete_edges(bridges)
-    comps = pieces_graph.connected_components()
-    pieces = len(comps)
-    positive = sum(1 for c in comps if pieces_graph.arithmetic_genus(c) >= 1)
-    return out, ThetaSummary(
-        pieces=pieces,
-        stable_classes=stable_classes,
-        component_count=pieces * stable_classes,
+    component-count summary.  On each stratum theta is the effective locus
+    of the normalization, a divisor there or empty, so its dimension is the
+    Picard stratum's minus one: the sum of the component genera minus one,
+    which is -1 when every component has genus 0 (empty locus)."""
+    strata = [Stratum(nodes=s, degree=d, dim=dim - 1, kind="theta")
+              for s, dim, degrees in _stable_normalizations(graph) for d in degrees]
+    _, normalized, pieces, degrees = _at_bridges(graph)
+    positive = sum(1 for c in pieces if normalized.arithmetic_genus(c) >= 1)
+    return strata, ThetaSummary(
+        pieces=len(pieces),
+        stable_classes=len(degrees),
+        component_count=len(pieces) * len(degrees),
         positive_genus_pieces=positive,
-        effective_component_count=positive * stable_classes,
+        effective_component_count=positive * len(degrees),
     )
 
 
@@ -168,7 +158,8 @@ def is_picard_irreducible(graph: DualGraph) -> bool:
     valency shortcut (see :func:`picard_valency_criterion`) agrees in one
     direction only; see its docstring for the counterexamples.
     """
-    return len(enumerate_stable(graph.delete_edges(graph.bridges()))) == 1
+    *_, degrees = _at_bridges(graph)
+    return len(degrees) == 1
 
 
 def picard_valency_criterion(graph: DualGraph) -> bool:
@@ -196,8 +187,8 @@ def is_theta_irreducible(graph: DualGraph) -> bool:
     == 1`` in :func:`theta_strata`).  Decided without building strata, so
     no edge-subset cap applies.  Being bridgeless and Picard irreducible is
     not enough: two disjoint bananas have two pieces."""
-    tilde = graph.delete_edges(graph.bridges())
-    return len(tilde.connected_components()) == 1 and len(enumerate_stable(tilde)) == 1
+    _, _, pieces, degrees = _at_bridges(graph)
+    return len(pieces) == 1 and len(degrees) == 1
 
 
 def theta_valency_criterion(graph: DualGraph) -> bool:

@@ -370,6 +370,10 @@ class TestErrors:
         (["abel", "SPEC", "--points", "5:3"], "--points: entry 0: vertex 5 out of range"),
         (["abel", "SPEC", "--points=-1:3"], "--points: entry 0: vertex -1 out of range"),
         (["abel", "SPEC", "--points", "1:5,2:3"], "--points: entry 1: vertex 2 out of range"),
+        (["h0", "SPEC", "--degrees", "0,0", "--gluing", "1,1"],
+         "--gluing: need 3 entries in edge order"),
+        (["h0", "SPEC", "--degrees", "0,0", "--gluing", "1,,1"],
+         "--gluing: need comma-separated integers"),
     ])
     def test_degree_flag_field_path(self, capsys, theta_spec, argv, message):
         argv = [theta_spec if a == "SPEC" else a for a in argv]
@@ -381,6 +385,15 @@ class TestErrors:
         assert run(["wcount", theta_spec, "--degrees", "0,1"]) == 1
         err = capsys.readouterr().err
         assert "budget" in err and "100" in err
+
+    def test_budget_refusal_names_the_determinants(self, capsys, theta_spec, monkeypatch):
+        # 100 draws exceed the 2^2 terms, so sample mode builds the theta
+        # determinant first and is refused for that
+        monkeypatch.setenv("THETA_STRATA_BUDGET", "3")
+        assert run(["wcount", theta_spec, "--degrees", "0,1", "--mode", "sample",
+                    "--samples", "100", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "budget refusal: theta determinant needs 4 determinants, budget is 3\n")
 
     @pytest.mark.parametrize("raw", ["abc", "-5", "0"])
     def test_bad_budget_setting(self, capsys, theta_spec, monkeypatch, raw):

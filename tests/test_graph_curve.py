@@ -290,6 +290,11 @@ class TestWCount:
         curve = GraphCurve(DualGraph((0,), ()), 7, {})
         assert h0(curve, GluedLineBundle((3,), ())) == 4
         assert h0(curve, GluedLineBundle((-1,), ())) == 0
+        # no gluing rows: every coefficient vector is a section
+        space = section_space(curve, GluedLineBundle((2,), ()))
+        assert space.basis == (((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
+        assert space.dim == 3
+        assert section_space(curve, GluedLineBundle((-1,), ())).basis == ()
 
     def test_r_above_dimension_gives_zero(self):
         curve = theta_curve(5)

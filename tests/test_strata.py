@@ -225,9 +225,15 @@ class TestIrreducibility:
             c = len(tilde.connected_components())
             assert is_picard_irreducible(graph) == (b == 1)
             assert is_theta_irreducible(graph) == (c == 1 and b == 1)
-            # the predicate builds no strata; the summary is read from them
-            _, summary = theta_strata(graph)
+            # the predicate and the summary both read the normalization at
+            # the bridges; the strata indexed by the bridges must agree
+            strata, summary = theta_strata(graph)
             assert is_theta_irreducible(graph) == (summary.pieces == summary.stable_classes == 1)
+            separating = graph.bridges()
+            top = [s for s in strata if s.nodes == separating]
+            assert len(top) == summary.stable_classes
+            assert top == [Stratum(s.nodes, s.degree, s.dim - 1, "theta")
+                           for s in smooth_locus_strata(graph)]
 
     @pytest.mark.parametrize("graph", [
         # bridgeless with one stable class, but two pieces
