@@ -42,8 +42,8 @@ from .strata import (
     enumerate_picard_strata,
     is_picard_irreducible,
     is_theta_irreducible,
+    strata_payload,
     strata_poset_dot,
-    strata_to_json,
     theta_strata,
 )
 
@@ -302,7 +302,7 @@ def _cmd_strata(args) -> int:
         sys.stdout.write(strata_poset_dot(graph, strata))
         return 0
     # both views grow as 2^#nodes, so each is built only for its own format
-    results = json.loads(strata_to_json(strata, summary)) if args.format == "json" else None
+    results = strata_payload(strata, summary) if args.format == "json" else None
     report = _report("strata", {"spec": args.spec, "theta": args.theta}, results, args.format)
     _emit(report, args.format, _strata_table(strata, summary))
     return 0

@@ -31,11 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual_graph import DualGraph
-from .modp import (  # the budget names are re-exported for callers of the scans
-    DEFAULT_RANK_BUDGET,
+from .modp import (
     EXHAUSTIVE_SCAN,
-    BudgetExceededError,
-    BudgetSettingError,
     batch_rank,
     charge,
     determinant,
@@ -44,7 +41,6 @@ from .modp import (  # the budget names are re-exported for callers of the scans
     nullity,
     nullspace,
     rank,
-    rank_budget,
     stack_dtype,
 )
 
@@ -896,16 +892,6 @@ class ThetaPolynomial:
     @property
     def is_identically_zero(self) -> bool:
         return not self.terms
-
-    def evaluate(self, values) -> int:
-        p = self.prime
-        acc = 0
-        for expo, coeff in self.terms:
-            term = coeff
-            for x, k in zip(values, expo):
-                term = term * pow(x, k, p) % p
-            acc = (acc + term) % p
-        return acc
 
     def zero_count(self) -> int:
         """Zeros on the torus (F_p*)^k, from (p - 1)^(k - 1) evaluations.

@@ -15,8 +15,7 @@ the implemented conditions are necessary, not known to be sufficient.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .dual_graph import DualGraph, GraphTooLargeError, MAX_SUBSET_EDGES
 from .multidegree import enumerate_stable
@@ -218,11 +217,13 @@ def strata_irreducible_curve(graph: DualGraph, d: int) -> list[Stratum]:
 
 # -- emitters -----------------------------------------------------------
 
-def strata_to_json(strata, summary: ThetaSummary | None = None) -> str:
-    payload = {"strata": [asdict(s) for s in strata]}
+def strata_payload(strata, summary: ThetaSummary | None = None) -> dict:
+    """The JSON view: one plain dict per stratum, and the theta summary
+    when given, ready for a single ``json.dumps``."""
+    payload = {"strata": [dict(vars(s)) for s in strata]}
     if summary is not None:
-        payload["theta_summary"] = asdict(summary)
-    return json.dumps(payload, sort_keys=True, indent=2)
+        payload["theta_summary"] = dict(vars(summary))
+    return payload
 
 
 def _label(s: Stratum) -> str:

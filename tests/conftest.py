@@ -6,7 +6,8 @@ every subset (not only connected ones), determinants and matrix rank by
 minor expansion, the irreducible factors of a multilinear polynomial by
 scanning its variable bipartitions, its torus zeros by evaluating it at
 every point, theta stratum dimensions by normalizing once per stratum,
-primality by trial division.  The component-count, bridge, one-node
+primality by trial division, the multigraph families by a canonical form
+over every relabeling.  The component-count, bridge, one-node
 and per-point torus oracles, the random and cycle curve builders and
 the random square degrees live in ``nodaltheta.selfcheck``, whose
 invariant registry uses them too; they are re-exported here.
@@ -127,6 +128,26 @@ def per_stratum_theta_dim(graph: DualGraph, nodes) -> int:
     return sum(genera) - 1
 
 
+def brute_connected_multigraphs(max_vertices: int, max_edges: int):
+    """Every connected multigraph up to isomorphism, as its first member in
+    generation order: a canonical form (the least edge multiset over all
+    vertex relabelings) is computed for every connected candidate and
+    remembered in a set of the classes seen."""
+    for n in range(1, max_vertices + 1):
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+        seen = set()
+        for n_edges in range(max_edges + 1):
+            for combo in itertools.combinations_with_replacement(slots, n_edges):
+                graph = DualGraph((0,) * n, combo)
+                if not graph.is_connected():
+                    continue
+                key = min(tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in combo))
+                          for perm in itertools.permutations(range(n)))
+                if key not in seen:
+                    seen.add(key)
+                    yield graph
+
+
 def disjoint_union(*graphs: DualGraph) -> DualGraph:
     genera, edges, offset = (), (), 0
     for g in graphs:
@@ -168,11 +189,23 @@ def brute_is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
+def brute_evaluate(poly, values) -> int:
+    """A ``ThetaPolynomial`` at one point, term by term over F_p."""
+    p = poly.prime
+    acc = 0
+    for expo, coeff in poly.terms:
+        term = coeff
+        for x, k in zip(values, expo):
+            term = term * pow(x, k, p) % p
+        acc = (acc + term) % p
+    return acc
+
+
 def brute_zero_count(poly) -> int:
     """Zeros of a ``ThetaPolynomial`` on the torus (F_p*)^k, by evaluating
     it at every point (small tori only)."""
     return sum(1 for values in itertools.product(range(1, poly.prime), repeat=len(poly.free_edges))
-               if poly.evaluate(values) == 0)
+               if brute_evaluate(poly, values) == 0)
 
 
 def brute_factor_count(terms, p: int):

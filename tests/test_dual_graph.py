@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import brute_bridges, brute_component_count
+from conftest import brute_bridges, brute_component_count, brute_connected_multigraphs
 from nodaltheta.dual_graph import (
     DualGraph,
     GraphTooLargeError,
@@ -205,3 +205,16 @@ class TestConnectedSubsets:
                     ),
                 )
                 assert (sub in subs) == (brute_component_count(induced) == 1)
+
+
+class TestConnectedMultigraphs:
+    @pytest.mark.parametrize("max_vertices, max_edges", [(4, 6), (5, 4)])
+    def test_matches_brute_force(self, max_vertices, max_edges):
+        # the same graphs, each at the same relabeling, in the same order
+        assert list(connected_multigraphs(max_vertices, max_edges)) == list(
+            brute_connected_multigraphs(max_vertices, max_edges))
+
+    @pytest.mark.parametrize("max_vertices, max_edges, count",
+                             [(3, 5, 69), (4, 6, 283), (4, 7, 668), (5, 6, 405)])
+    def test_frozen_counts(self, max_vertices, max_edges, count):
+        assert sum(1 for _ in connected_multigraphs(max_vertices, max_edges)) == count

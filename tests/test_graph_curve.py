@@ -13,10 +13,7 @@ from conftest import (
 )
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.graph_curve import (
-    DEFAULT_RANK_BUDGET,
     INFINITY,
-    BudgetExceededError,
-    BudgetSettingError,
     GluedLineBundle,
     GraphCurve,
     abel_image,
@@ -28,12 +25,17 @@ from nodaltheta.graph_curve import (
     free_gluing_edges,
     h0,
     h0_blowup,
-    rank_budget,
     restrict_bundle,
     section_space,
     tree_normalize,
     trivial_bundle,
     w_count,
+)
+from nodaltheta.modp import (
+    DEFAULT_RANK_BUDGET,
+    BudgetExceededError,
+    BudgetSettingError,
+    rank_budget,
 )
 
 

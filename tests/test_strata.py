@@ -26,8 +26,8 @@ from nodaltheta.strata import (
     picard_valency_criterion,
     smooth_locus_strata,
     strata_irreducible_curve,
+    strata_payload,
     strata_poset_dot,
-    strata_to_json,
     theta_strata,
     theta_valency_criterion,
 )
@@ -302,7 +302,7 @@ class TestEmitters:
     def test_json_round_trip(self):
         graph = theta_graph()
         strata, summary = theta_strata(graph)
-        payload = json.loads(strata_to_json(strata, summary))
+        payload = json.loads(json.dumps(strata_payload(strata, summary)))
         assert len(payload["strata"]) == len(strata)
         assert payload["theta_summary"]["component_count"] == 2
         assert payload["strata"][0]["kind"] == "theta"

@@ -20,7 +20,6 @@ from conftest import (
 from nodaltheta.dual_graph import DualGraph
 from nodaltheta.graph_curve import (
     INFINITY,
-    BudgetExceededError,
     GluedLineBundle,
     GraphCurve,
     ThetaPolynomial,
@@ -31,6 +30,7 @@ from nodaltheta.graph_curve import (
     symbolic_theta_polynomial,
     w_count,
 )
+from nodaltheta.modp import BudgetExceededError
 from nodaltheta.multidegree import enumerate_stable
 
 # SHA-256 of the terms of the 1,200 ``square_cases`` below, as the sympy
