@@ -24,8 +24,8 @@ class GraphTooLargeError(ValueError):
     """An exhaustive enumeration would exceed the hard size cap."""
 
 
-#: Hard cap on vertex count for operations that enumerate vertex subsets.
-MAX_SUBSET_VERTICES = 14
+#: Hard cap on the connected vertex subsets of one graph (K14 has 2^14 - 1).
+MAX_CONNECTED_SUBSETS = 1 << 14
 
 #: Hard cap on edge count for operations that enumerate edge subsets.
 MAX_SUBSET_EDGES = 20
@@ -295,41 +295,30 @@ def cross_edges(graph: DualGraph, ends) -> tuple[int, ...]:
 def connected_subsets(graph: DualGraph) -> tuple[frozenset, ...]:
     """All nonempty vertex subsets whose induced subgraph is connected.
 
-    Exhaustive over the subsets of each connected component, so every
-    component must stay within the vertex cap; there is deliberately no
-    sampling fallback.  The subsets come component by component, each
-    component's in ascending order of their bitmasks.
+    By extension (ESU; Wernicke 2006): a subset grows from its lowest
+    vertex, each vertex added bringing in as candidates its neighbours above
+    that root not next to the subset before it, so each subset comes once,
+    grouped by lowest vertex, and the work follows the output.  There is
+    no sampling fallback: past ``MAX_CONNECTED_SUBSETS`` the graph is refused.
     """
-    n = graph.num_vertices
-    components = graph.connected_components()
-    for comp in components:
-        if len(comp) > MAX_SUBSET_VERTICES:
-            raise GraphTooLargeError(
-                f"{len(comp)} vertices exceed the exhaustive subset cap of {MAX_SUBSET_VERTICES}"
-            )
-    nbr = [0] * n  # bitmask of the non-loop neighbours of each vertex
+    nbr = [0] * graph.num_vertices  # bitmask of the neighbours of each vertex
     for u, v in graph.edges:
-        if u != v:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
     out = []
-    for comp in components:
-        mask = sum(1 << v for v in comp)
-        bits = 0
-        while True:
-            bits = (bits - mask) & mask  # the next subset of the component
-            if not bits:
-                break
-            # grow the closure of the lowest member inside the subset
-            reach = frontier = bits & -bits
-            while frontier:
-                grown = 0
-                while frontier:
-                    low = frontier & -frontier
-                    grown |= nbr[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = grown & bits & ~reach
-                reach |= frontier
-            if reach == bits:
-                out.append(frozenset(v for v in comp if bits >> v & 1))
+    for root, adj in enumerate(nbr):
+        above = -2 << root  # the vertices higher than the root
+        # (members, extension candidates, members and their neighbours)
+        stack = [((root,), adj & above, adj | 1 << root)]
+        while stack:
+            members, ext, near = stack.pop()
+            if len(out) == MAX_CONNECTED_SUBSETS:
+                raise GraphTooLargeError(f"at least {len(out) + 1} connected vertex subsets"
+                                         f" exceed the exhaustive subset cap of {len(out)}")
+            out.append(frozenset(members))
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = low.bit_length() - 1
+                stack.append((members + (w,), ext | nbr[w] & above & ~near, near | nbr[w]))
     return tuple(out)

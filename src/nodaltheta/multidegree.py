@@ -33,8 +33,8 @@ graphs.  The search fixes ``b_v`` in vertex order, each connected
 subcurve bounding the vertex that is its highest; for semistability
 these are the bounds of the projection of a base polyhedron onto the
 assigned prefix, so the search never backs out of a dead end, and its
-output is lexicographic as generated.  It scans connected subcurves, so
-it keeps the subset cap, which bounds each connected component.  The
+output is lexicographic as generated.  It lists connected subcurves, so
+it keeps the subset cap, which bounds how many the graph has.  The
 agreement of enumeration and predicates, and of both with exhaustive
 orientation enumeration on small graph families, is one of the
 package's main self-checks.
@@ -167,7 +167,7 @@ def enumerate_stable(graph: DualGraph) -> list[Multidegree]:
 
 def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
     """Depth-first search over ``b_v = d_v - genus(v) - loops(v) + 1`` in
-    vertex order; ``strict`` (stability) tightens the bounds of every
+    vertex order, iterative; ``strict`` (stability) tightens the bounds of every
     subcurve with a cut edge, so a whole component keeps ``b_Z = |E(Z)|``.
 
     The last vertex takes what is left of the total, unchecked: a
@@ -203,10 +203,11 @@ def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
         tight = strict and touching > inner
         bounds[top].append((tuple(sub - {top}), inner + tight, touching - tight))
     b = [0] * n
+    ceiling = [0] * n  # the highest b_v allowed by the vertices below v
     out: list[Multidegree] = []
-
-    def extend(v: int, assigned: int) -> None:
-        lo, hi = 0, total_b - assigned
+    v, left = 0, total_b  # the vertex to bound next, and what b_v.. must sum to
+    while v >= 0:
+        lo, hi = 0, left
         for rest, lo_z, hi_z in bounds[v]:
             for u in rest:
                 lo_z -= b[u]
@@ -215,15 +216,24 @@ def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
                 lo = lo_z
             if hi_z < hi:
                 hi = hi_z
-        for x in range(lo, hi + 1):
-            b[v] = x
-            if v < n - 2:
-                extend(v + 1, assigned + x)
-            else:
-                b[n - 1] = total_b - assigned - x
+        if v < n - 2 and lo <= hi:
+            b[v], ceiling[v] = lo, hi
+            left -= lo
+            v += 1
+            continue
+        if v == n - 2:
+            for x in range(lo, hi + 1):
+                b[v], b[n - 1] = x, left - x
                 out.append(tuple(map(int.__add__, shift, b)))
-
-    extend(0, 0)
+        # back up to the deepest vertex below v that can still go up by one
+        v -= 1
+        while v >= 0 and b[v] == ceiling[v]:
+            left += b[v]
+            v -= 1
+        if v >= 0:
+            b[v] += 1
+            left -= 1
+            v += 1
     return out
 
 

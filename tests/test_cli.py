@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -100,7 +101,7 @@ class TestCommands:
         assert report["results"]["destabilizing_nodes"] == [0]
 
     def test_stabilize_beyond_subset_cap(self, capsys, tmp_path):
-        # a doubled 16-cycle: more vertices than any subcurve scan accepts
+        # a doubled 16-cycle; stabilize scans no subcurves at any size
         edges = [sorted((i, (i + 1) % 16)) for i in range(16) for _ in (0, 1)]
         path = tmp_path / "cycle16.json"
         path.write_text(json.dumps({"vertices": [{"genus": 0}] * 16, "edges": edges}))
@@ -154,6 +155,25 @@ class TestCommands:
         assert report["results"] == {
             "picard_irreducible": True, "theta_irreducible": False,
         }
+
+    def test_multidegrees_on_a_sixteen_cycle(self, capsys, tmp_path):
+        # a 16-cycle has 241 connected subcurves and one stable class
+        path = tmp_path / "cycle16.json"
+        path.write_text(json.dumps({"vertices": [{"genus": 0}] * 16,
+                                    "edges": [sorted((i, (i + 1) % 16)) for i in range(16)]}))
+        code, report = run_json(capsys, ["multidegrees", str(path), "--stable"])
+        assert code == 0
+        assert report["results"]["multidegrees"] == [[0] * 16]
+
+    def test_subset_cap_refusal(self, capsys, tmp_path):
+        # the complete graph on 15 vertices has 2^15 - 1 connected subcurves
+        path = tmp_path / "k15.json"
+        path.write_text(json.dumps({"vertices": [{"genus": 0}] * 15,
+                                    "edges": list(itertools.combinations(range(15), 2))}))
+        assert run(["multidegrees", str(path), "--stable"]) == 1
+        assert capsys.readouterr().err == (
+            "error: at least 16385 connected vertex subsets exceed"
+            " the exhaustive subset cap of 16384\n")
 
     def test_h0(self, capsys, theta_spec):
         code, report = run_json(

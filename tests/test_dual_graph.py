@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import brute_bridges, brute_component_count, brute_connected_multigraphs
@@ -7,6 +9,7 @@ from nodaltheta.dual_graph import (
     connected_subsets,
 )
 from nodaltheta.families import connected_multigraphs
+from nodaltheta.selfcheck import _interleaved_union
 
 
 TRIANGLE = DualGraph((0, 0, 0), ((0, 1), (1, 2), (0, 2)))
@@ -17,6 +20,10 @@ DUMBBELL = DualGraph(
     (0,) * 6,
     ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)),
 )
+
+
+def complete_graph(n):
+    return DualGraph((0,) * n, tuple(itertools.combinations(range(n), 2)))
 
 
 class TestArithmeticGenus:
@@ -172,9 +179,12 @@ class TestConnectedSubsets:
         assert len(subs) == 6
 
     def test_size_cap(self):
-        big = DualGraph((0,) * 15, tuple((i, i + 1) for i in range(14)))
-        with pytest.raises(GraphTooLargeError):
-            connected_subsets(big)
+        # the cap counts subsets, not vertices: a long path answers
+        path = DualGraph((0,) * 15, tuple((i, i + 1) for i in range(14)))
+        assert len(connected_subsets(path)) == 15 * 16 // 2
+        assert len(connected_subsets(complete_graph(14))) == (1 << 14) - 1
+        with pytest.raises(GraphTooLargeError, match="cap of 16384"):
+            connected_subsets(complete_graph(15))
 
     def test_cap_counts_each_component(self):
         cycle = tuple((i, (i + 1) % 8) for i in range(8))
@@ -183,14 +193,21 @@ class TestConnectedSubsets:
         assert len(subs) == 2 * 57  # 56 arcs and the whole cycle, twice
         assert all(max(s) < 8 or min(s) >= 8 for s in subs)
         path_and_point = DualGraph((0,) * 16, tuple((i, i + 1) for i in range(14)))
+        assert len(connected_subsets(path_and_point)) == 120 + 1
+        # the count is over the whole graph: each K14 alone answers
+        k14 = complete_graph(14)
+        two_k14 = DualGraph((0,) * 28, k14.edges + tuple((u + 14, v + 14) for u, v in k14.edges))
         with pytest.raises(GraphTooLargeError):
-            connected_subsets(path_and_point)
+            connected_subsets(two_k14)
 
     def test_matches_brute_force(self):
-        # the disconnected graphs interleave their components
+        # the disconnected graphs interleave their components, so a subset
+        # grown from its lowest vertex skips labels of another component
         disconnected = [DualGraph((0,) * 4, ((0, 2), (1, 3))),
                         DualGraph((0,) * 5, ((0, 2), (2, 4), (4, 0), (1, 1), (3, 3))),
                         DualGraph((0,) * 3, ())]
+        small = list(connected_multigraphs(2, 3))
+        disconnected += [_interleaved_union(a, b) for a, b in itertools.product(small, repeat=2)]
         for graph in [*connected_multigraphs(3, 3), *disconnected]:
             subs = set(connected_subsets(graph))
             assert len(subs) == len(connected_subsets(graph))

@@ -122,7 +122,7 @@ def doubled_cycle(n):
 
 def seeded_large_graph():
     """A 40-cycle plus 39 seeded chords, with seeded genera: bridgeless,
-    far beyond the subset cap."""
+    with more connected subcurves than the subset cap allows."""
     rng = random.Random(40)
     edges = [(i, (i + 1) % 40) for i in range(40)]
     edges += [(rng.randrange(40), rng.randrange(40)) for _ in range(39)]
@@ -131,7 +131,7 @@ def seeded_large_graph():
 
 class TestPredicatesBeyondSubsetCap:
     """The orientation core has no size cap: these graphs have 16 and 40
-    vertices, where a subcurve scan would refuse."""
+    vertices, and the subcurve scan refuses the second."""
 
     @pytest.mark.parametrize("graph", [doubled_cycle(16), seeded_large_graph()],
                              ids=["doubled-16-cycle", "seeded-40-vertices"])
@@ -206,6 +206,17 @@ class TestEnumeration:
         for graph in connected_multigraphs(3, 5):
             assert set(enumerate_stable(graph)) <= set(enumerate_semistable(graph))
 
+    def test_fifteen_cycle(self):
+        # T_G(2, 1) = 2^n - 1 semistable classes on an n-cycle
+        cycle = DualGraph((0,) * 15, tuple((i, (i + 1) % 15) for i in range(15)))
+        semistable = enumerate_semistable(cycle)
+        assert len(semistable) == (1 << 15) - 1
+        assert all(is_semistable(cycle, d) for d in random.Random(15).sample(semistable, 200))
+        assert enumerate_stable(cycle) == [(0,) * 15]
+
+    def test_more_vertices_than_the_recursion_limit(self):
+        assert enumerate_stable(DualGraph((1,) * 1000, ())) == [(0,) * 1000]
+
 
 @st.composite
 def small_multigraphs(draw):
@@ -252,7 +263,7 @@ class TestEnumerationOracles:
             assert enumerate_stable(union) == brute_box_scan(union, brute_is_stable)
 
     def test_components_past_the_vertex_cap(self):
-        # 16 vertices, 8 per component: the subset cap bounds each component
+        # 16 vertices, 8 per component, with 2 * 57 connected subcurves
         cycle = DualGraph((0,) * 8, tuple((i, (i + 1) % 8) for i in range(8)))
         blocks = disjoint_union(doubled_cycle(8), cycle)
         new = random.Random(8).sample(range(16), 16)  # vertex v becomes new[v]
