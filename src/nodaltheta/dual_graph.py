@@ -16,6 +16,7 @@ genus of the corresponding subcurve.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -292,33 +293,50 @@ def cross_edges(graph: DualGraph, ends) -> tuple[int, ...]:
 # -- subcurve enumeration ---------------------------------------------
 
 @lru_cache(maxsize=4096)
-def connected_subsets(graph: DualGraph) -> tuple[frozenset, ...]:
-    """All nonempty vertex subsets whose induced subgraph is connected.
+def connected_subsets(graph: DualGraph) -> tuple[tuple[tuple, ...], ...]:
+    """Connected subcurves with their edge counts, by highest vertex.
 
-    By extension (ESU; Wernicke 2006): a subset grows from its lowest
-    vertex, each vertex added bringing in as candidates its neighbours above
+    Row ``v`` has an entry ``(rest, inner, touching)`` for each connected
+    induced subgraph with highest vertex ``v``: its other vertices, and the
+    edges inside it and meeting it (a loop at a member counts once in
+    each).  By extension (ESU; Wernicke 2006), downward from the highest
+    vertex: each vertex added brings in as candidates its neighbours below
     that root not next to the subset before it, so each subset comes once,
-    grouped by lowest vertex, and the work follows the output.  There is
-    no sampling fallback: past ``MAX_CONNECTED_SUBSETS`` the graph is refused.
+    in depth-first stack order, and the work follows the output; ``inner``
+    and the valency sum grow with it, and ``touching`` is their difference.
+    There is no sampling fallback: past ``MAX_CONNECTED_SUBSETS`` the graph
+    is refused.
     """
-    nbr = [0] * graph.num_vertices  # bitmask of the neighbours of each vertex
-    for u, v in graph.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    out = []
-    for root, adj in enumerate(nbr):
-        above = -2 << root  # the vertices higher than the root
-        # (members, extension candidates, members and their neighbours)
-        stack = [((root,), adj & above, adj | 1 << root)]
+    n = graph.num_vertices
+    mult = Counter((min(e), max(e)) for e in graph.edges)  # edges per vertex pair
+    width = max(mult.values(), default=1)
+    # weights[a]: in the width-bit field of each vertex b, one bit per edge joining a and b
+    weights, nbr, valency = [0] * n, [0] * n, [0] * n
+    for (u, v), m in mult.items():
+        for a, b in (u, v), (v, u):
+            weights[a] |= (1 << m) - 1 << b * width
+            nbr[a] |= 1 << b
+            valency[a] += m
+    field = (1 << width) - 1
+    table, count = [], 0
+    for root in range(n):
+        below, row, fields = (1 << root) - 1, [], field << root * width
+        # (rest, member fields, candidates, members and neighbours, inner edges, valency sum)
+        stack = [((), fields, nbr[root] & below, nbr[root] | 1 << root,
+                  (fields & weights[root]).bit_count(), valency[root])]
         while stack:
-            members, ext, near = stack.pop()
-            if len(out) == MAX_CONNECTED_SUBSETS:
-                raise GraphTooLargeError(f"at least {len(out) + 1} connected vertex subsets"
-                                         f" exceed the exhaustive subset cap of {len(out)}")
-            out.append(frozenset(members))
+            rest, fields, ext, near, inner, ends = stack.pop()
+            if count == MAX_CONNECTED_SUBSETS:
+                raise GraphTooLargeError(f"at least {count + 1} connected vertex subsets"
+                                         f" exceed the exhaustive subset cap of {count}")
+            count += 1
+            row.append((rest, inner, ends - inner))
             while ext:
                 low = ext & -ext
                 ext ^= low
                 w = low.bit_length() - 1
-                stack.append((members + (w,), ext | nbr[w] & above & ~near, near | nbr[w]))
-    return tuple(out)
+                grown = fields | field << w * width
+                stack.append((rest + (w,), grown, ext | nbr[w] & below & ~near, near | nbr[w],
+                              inner + (grown & weights[w]).bit_count(), ends + valency[w]))
+        table.append(tuple(row))
+    return tuple(table)

@@ -33,8 +33,9 @@ graphs.  The search fixes ``b_v`` in vertex order, each connected
 subcurve bounding the vertex that is its highest; for semistability
 these are the bounds of the projection of a base polyhedron onto the
 assigned prefix, so the search never backs out of a dead end, and its
-output is lexicographic as generated.  It lists connected subcurves, so
-it keeps the subset cap, which bounds how many the graph has.  The
+output is lexicographic as generated.  The bounds are one table per
+core, cached by ``dual_graph.connected_subsets`` and shared by every
+decoration of that core, so the search keeps its subset cap.  The
 agreement of enumeration and predicates, and of both with exhaustive
 orientation enumeration on small graph families, is one of the
 package's main self-checks.
@@ -73,9 +74,9 @@ def degree_box(graph: DualGraph) -> list[tuple[int, int]]:
 def _core(graph: DualGraph) -> DualGraph:
     """The loopless genus-0 core: the non-loop edges on the same vertices.
 
-    Connected subcurves depend only on the core, so the enumeration looks
-    up ``connected_subsets`` on it, and decorated graphs that share a core
-    share one cache entry.
+    Connected subcurves and their edge counts depend only on the core, so
+    the enumeration looks up its bound table ``connected_subsets`` on it,
+    built once per core and kept in that function's cache.
     """
     return DualGraph((0,) * graph.num_vertices,
                      tuple((u, v) for u, v in graph.edges if u != v))
@@ -167,8 +168,9 @@ def enumerate_stable(graph: DualGraph) -> list[Multidegree]:
 
 def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
     """Depth-first search over ``b_v = d_v - genus(v) - loops(v) + 1`` in
-    vertex order, iterative; ``strict`` (stability) tightens the bounds of every
-    subcurve with a cut edge, so a whole component keeps ``b_Z = |E(Z)|``.
+    vertex order, iterative, on the bounds ``inner <= b_Z <= touching`` of the
+    core's cached table; ``strict`` (stability) builds new rows 1 tighter on
+    every subcurve with a cut edge, so a whole component keeps ``b_Z = |E(Z)|``.
 
     The last vertex takes what is left of the total, unchecked: a
     connected subcurve ``Z`` through it bounds it exactly when the
@@ -185,23 +187,10 @@ def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
     total_b = core.num_edges
     if n == 1:
         return [(shift[0],)]
-    edge_masks = [(1 << u) | (1 << v) for u, v in core.edges]
-    bounds = [[] for _ in range(n - 1)]  # per highest vertex: (rest of Z, lo, hi)
-    for sub in connected_subsets(core):
-        top = max(sub)
-        if top == n - 1:
-            continue
-        mask = 0
-        for v in sub:
-            mask |= 1 << v
-        inner = touching = 0
-        for em in edge_masks:
-            hit = em & mask
-            if hit:
-                touching += 1
-                inner += hit == em
-        tight = strict and touching > inner
-        bounds[top].append((tuple(sub - {top}), inner + tight, touching - tight))
+    bounds = connected_subsets(core)  # per highest vertex: (rest of Z, lo, hi)
+    if strict:
+        bounds = [[(rest, inner + (cut := touching > inner), touching - cut)
+                   for rest, inner, touching in row] for row in bounds[:-1]]
     b = [0] * n
     ceiling = [0] * n  # the highest b_v allowed by the vertices below v
     out: list[Multidegree] = []

@@ -167,33 +167,49 @@ class TestStrip:
             BANANA.strip("everything")
 
 
+def subsets(graph):
+    """The connected subsets of the table, each as a frozenset of vertices."""
+    return [frozenset((v, *rest)) for v, row in enumerate(connected_subsets(graph))
+            for rest, _inner, _touching in row]
+
+
+def _subset_families():
+    # the disconnected graphs interleave their components, so a subset
+    # grown from its highest vertex skips labels of another component
+    disconnected = [DualGraph((0,) * 4, ((0, 2), (1, 3))),
+                    DualGraph((0,) * 5, ((0, 2), (2, 4), (4, 0), (1, 1), (3, 3))),
+                    DualGraph((0,) * 3, ())]
+    small = list(connected_multigraphs(2, 3))
+    return disconnected + [_interleaved_union(a, b) for a, b in itertools.product(small, repeat=2)]
+
+
 class TestConnectedSubsets:
     def test_triangle_subsets(self):
-        subs = connected_subsets(TRIANGLE)
+        subs = subsets(TRIANGLE)
         assert len(subs) == 7  # every nonempty subset is connected
 
     def test_path_misses_endpoints_pair(self):
         path = DualGraph((0, 0, 0), ((0, 1), (1, 2)))
-        subs = connected_subsets(path)
+        subs = subsets(path)
         assert frozenset({0, 2}) not in subs
         assert len(subs) == 6
 
     def test_size_cap(self):
         # the cap counts subsets, not vertices: a long path answers
         path = DualGraph((0,) * 15, tuple((i, i + 1) for i in range(14)))
-        assert len(connected_subsets(path)) == 15 * 16 // 2
-        assert len(connected_subsets(complete_graph(14))) == (1 << 14) - 1
+        assert len(subsets(path)) == 15 * 16 // 2
+        assert len(subsets(complete_graph(14))) == (1 << 14) - 1
         with pytest.raises(GraphTooLargeError, match="cap of 16384"):
             connected_subsets(complete_graph(15))
 
     def test_cap_counts_each_component(self):
         cycle = tuple((i, (i + 1) % 8) for i in range(8))
         two_cycles = DualGraph((0,) * 16, cycle + tuple((u + 8, v + 8) for u, v in cycle))
-        subs = connected_subsets(two_cycles)
+        subs = subsets(two_cycles)
         assert len(subs) == 2 * 57  # 56 arcs and the whole cycle, twice
         assert all(max(s) < 8 or min(s) >= 8 for s in subs)
         path_and_point = DualGraph((0,) * 16, tuple((i, i + 1) for i in range(14)))
-        assert len(connected_subsets(path_and_point)) == 120 + 1
+        assert len(subsets(path_and_point)) == 120 + 1
         # the count is over the whole graph: each K14 alone answers
         k14 = complete_graph(14)
         two_k14 = DualGraph((0,) * 28, k14.edges + tuple((u + 14, v + 14) for u, v in k14.edges))
@@ -201,16 +217,9 @@ class TestConnectedSubsets:
             connected_subsets(two_k14)
 
     def test_matches_brute_force(self):
-        # the disconnected graphs interleave their components, so a subset
-        # grown from its lowest vertex skips labels of another component
-        disconnected = [DualGraph((0,) * 4, ((0, 2), (1, 3))),
-                        DualGraph((0,) * 5, ((0, 2), (2, 4), (4, 0), (1, 1), (3, 3))),
-                        DualGraph((0,) * 3, ())]
-        small = list(connected_multigraphs(2, 3))
-        disconnected += [_interleaved_union(a, b) for a, b in itertools.product(small, repeat=2)]
-        for graph in [*connected_multigraphs(3, 3), *disconnected]:
-            subs = set(connected_subsets(graph))
-            assert len(subs) == len(connected_subsets(graph))
+        for graph in [*connected_multigraphs(3, 3), *_subset_families()]:
+            subs = set(subsets(graph))
+            assert len(subs) == len(subsets(graph))
             n = graph.num_vertices
             for bits in range(1, 1 << n):
                 sub = frozenset(v for v in range(n) if bits >> v & 1)
@@ -222,6 +231,19 @@ class TestConnectedSubsets:
                     ),
                 )
                 assert (sub in subs) == (brute_component_count(induced) == 1)
+
+    def test_edge_counts(self):
+        # loops, parallel edges, and edges stored in either direction
+        reversed_pairs = [DualGraph((0,) * 3, ((1, 0), (0, 1), (2, 2), (2, 1), (2, 2), (1, 1))),
+                          DualGraph((0,) * 4, ((3, 0), (3, 3), (0, 3), (2, 1), (1, 2), (1, 3)))]
+        for graph in [*connected_multigraphs(4, 6), *_subset_families(), *reversed_pairs]:
+            for top, row in enumerate(connected_subsets(graph)):
+                for rest, inner, touching in row:
+                    assert all(v < top for v in rest)
+                    sub = {top, *rest}
+                    assert len(sub) == len(rest) + 1
+                    assert inner == sum(u in sub and v in sub for u, v in graph.edges)
+                    assert touching == sum(u in sub or v in sub for u, v in graph.edges)
 
 
 class TestConnectedMultigraphs:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -13,7 +14,7 @@ from conftest import (
     brute_is_stable_orientation,
     disjoint_union,
 )
-from nodaltheta.dual_graph import DualGraph
+from nodaltheta.dual_graph import DualGraph, connected_subsets
 from nodaltheta.families import connected_multigraphs, genus_decorations
 from nodaltheta.multidegree import (
     degree_box,
@@ -216,6 +217,28 @@ class TestEnumeration:
 
     def test_more_vertices_than_the_recursion_limit(self):
         assert enumerate_stable(DualGraph((1,) * 1000, ())) == [(0,) * 1000]
+
+    def test_decorations_share_one_subcurve_table(self):
+        # genera and loops leave the loopless core alone: one table serves
+        # every decoration, both searches read it, and neither changes it
+        kite = ((0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
+        graph = DualGraph((0,) * 4, kite + ((2, 2),))
+        core = DualGraph((0,) * 4, kite)
+
+        def enumerate_all():
+            for decorated in genus_decorations(graph, 2):
+                enumerate_semistable(decorated)
+                enumerate_stable(decorated)
+
+        connected_subsets.cache_clear()
+        enumerate_all()
+        assert connected_subsets.cache_info().misses == 1
+        table = connected_subsets(core)
+        snapshot = copy.deepcopy(table)
+        assert snapshot == connected_subsets.__wrapped__(core)
+        enumerate_all()
+        assert connected_subsets.cache_info().misses == 1
+        assert table == snapshot
 
 
 @st.composite
