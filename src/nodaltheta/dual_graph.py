@@ -293,19 +293,24 @@ def cross_edges(graph: DualGraph, ends) -> tuple[int, ...]:
 # -- subcurve enumeration ---------------------------------------------
 
 @lru_cache(maxsize=4096)
-def connected_subsets(graph: DualGraph) -> tuple[tuple[tuple, ...], ...]:
-    """Connected subcurves with their edge counts, by highest vertex.
+def connected_subsets(graph: DualGraph) -> tuple[tuple[tuple[tuple, ...], ...], dict]:
+    """``(rows, found)``: connected subcurves with their edge counts, by
+    highest vertex, and a slot for the degree vectors they bound.
 
-    Row ``v`` has an entry ``(rest, inner, touching)`` for each connected
-    induced subgraph with highest vertex ``v``: its other vertices, and the
-    edges inside it and meeting it (a loop at a member counts once in
-    each).  By extension (ESU; Wernicke 2006), downward from the highest
-    vertex: each vertex added brings in as candidates its neighbours below
-    that root not next to the subset before it, so each subset comes once,
-    in depth-first stack order, and the work follows the output; ``inner``
-    and the valency sum grow with it, and ``touching`` is their difference.
-    There is no sampling fallback: past ``MAX_CONNECTED_SUBSETS`` the graph
-    is refused.
+    Row ``v`` of ``rows`` has an entry ``(rest, inner, touching)`` for each
+    connected induced subgraph with highest vertex ``v``: its other
+    vertices, and the edges inside it and meeting it (a loop at a member
+    counts once in each).  By extension (ESU; Wernicke 2006), downward from
+    the highest vertex: each vertex added brings in as candidates its
+    neighbours below that root not next to the subset before it, so each
+    subset comes once, in depth-first stack order, and the work follows
+    the output; ``inner`` and the valency sum grow with it, and
+    ``touching`` is their difference.  There is no sampling fallback: past
+    ``MAX_CONNECTED_SUBSETS`` the graph is refused.  ``found`` starts
+    empty; ``multidegree`` fills it, at most once per strictness, with
+    ``found[strict] = (shift, degrees)``, the shift of the first decoration
+    of this core that asked and that call's output list, so the search
+    runs once per core and strictness and its result lives in this entry.
     """
     n = graph.num_vertices
     mult = Counter((min(e), max(e)) for e in graph.edges)  # edges per vertex pair
@@ -339,4 +344,4 @@ def connected_subsets(graph: DualGraph) -> tuple[tuple[tuple, ...], ...]:
                 stack.append((rest + (w,), grown, ext | nbr[w] & below & ~near, near | nbr[w],
                               inner + (grown & weights[w]).bit_count(), ends + valency[w]))
         table.append(tuple(row))
-    return tuple(table)
+    return tuple(table), {}

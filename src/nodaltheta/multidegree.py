@@ -33,17 +33,19 @@ graphs.  The search fixes ``b_v`` in vertex order, each connected
 subcurve bounding the vertex that is its highest; for semistability
 these are the bounds of the projection of a base polyhedron onto the
 assigned prefix, so the search never backs out of a dead end, and its
-output is lexicographic as generated.  The bounds are one table per
-core, cached by ``dual_graph.connected_subsets`` and shared by every
-decoration of that core, so the search keeps its subset cap.  The
-agreement of enumeration and predicates, and of both with exhaustive
-orientation enumeration on small graph families, is one of the
-package's main self-checks.
+output is lexicographic as generated.  Nothing in it depends on the
+decoration: it runs once per core and strictness, its output kept with
+the bound table in the core's ``dual_graph.connected_subsets`` cache
+entry (so the subset cap holds), and each decoration shifts that
+output.  The agreement of enumeration and predicates, and of both with
+exhaustive orientation enumeration on small graph families, is one of
+the package's main self-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .dual_graph import DualGraph, connected_subsets, cross_edges, dfs_ends
 
@@ -74,9 +76,9 @@ def degree_box(graph: DualGraph) -> list[tuple[int, int]]:
 def _core(graph: DualGraph) -> DualGraph:
     """The loopless genus-0 core: the non-loop edges on the same vertices.
 
-    Connected subcurves and their edge counts depend only on the core, so
-    the enumeration looks up its bound table ``connected_subsets`` on it,
-    built once per core and kept in that function's cache.
+    Connected subcurves, their edge counts and so the search's output
+    depend only on the core; ``connected_subsets`` keeps all of them in
+    its cache entry, so the search runs once per core and strictness.
     """
     return DualGraph((0,) * graph.num_vertices,
                      tuple((u, v) for u, v in graph.edges if u != v))
@@ -167,6 +169,28 @@ def enumerate_stable(graph: DualGraph) -> list[Multidegree]:
 
 
 def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
+    """The core's search output, run once per core and strictness and kept
+    in its ``connected_subsets`` entry, moved by this decoration's shift (a
+    constant, so the order holds), as a fresh list of shared or new tuples."""
+    n = graph.num_vertices
+    shift = [g - 1 for g in graph.genera]
+    for u, v in graph.edges:
+        if u == v:
+            shift[u] += 1
+    core = _core(graph)
+    if n == 1:
+        return [(shift[0],)]
+    bounds, found = connected_subsets(core)  # per highest vertex: (rest of Z, lo, hi)
+    if strict not in found:
+        found[strict] = shift, _search(bounds, strict, shift, core.num_edges)
+    base, degrees = found[strict]
+    if shift == base:
+        return list(degrees)
+    delta = list(map(sub, shift, base))
+    return [tuple(map(add, delta, d)) for d in degrees]
+
+
+def _search(bounds, strict: bool, shift: list[int], total_b: int) -> list[Multidegree]:
     """Depth-first search over ``b_v = d_v - genus(v) - loops(v) + 1`` in
     vertex order, iterative, on the bounds ``inner <= b_Z <= touching`` of the
     core's cached table; ``strict`` (stability) builds new rows 1 tighter on
@@ -178,16 +202,7 @@ def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
     on each side for stability, where the cut is nonempty), and the
     bounds already applied to the components of ``W`` imply that.
     """
-    n = graph.num_vertices
-    shift = [g - 1 for g in graph.genera]
-    for u, v in graph.edges:
-        if u == v:
-            shift[u] += 1
-    core = _core(graph)
-    total_b = core.num_edges
-    if n == 1:
-        return [(shift[0],)]
-    bounds = connected_subsets(core)  # per highest vertex: (rest of Z, lo, hi)
+    n = len(shift)
     if strict:
         bounds = [[(rest, inner + (cut := touching > inner), touching - cut)
                    for rest, inner, touching in row] for row in bounds[:-1]]
@@ -213,7 +228,7 @@ def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
         if v == n - 2:
             for x in range(lo, hi + 1):
                 b[v], b[n - 1] = x, left - x
-                out.append(tuple(map(int.__add__, shift, b)))
+                out.append(tuple(map(add, shift, b)))
         # back up to the deepest vertex below v that can still go up by one
         v -= 1
         while v >= 0 and b[v] == ceiling[v]:

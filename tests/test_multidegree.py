@@ -28,6 +28,7 @@ from nodaltheta.multidegree import (
     multidegree_of_orientation,
     stabilize,
 )
+from nodaltheta.selfcheck import _interleaved_union
 
 
 def theta_graph(g1=0, g2=0, delta=3):
@@ -219,8 +220,9 @@ class TestEnumeration:
         assert enumerate_stable(DualGraph((1,) * 1000, ())) == [(0,) * 1000]
 
     def test_decorations_share_one_subcurve_table(self):
-        # genera and loops leave the loopless core alone: one table serves
-        # every decoration, both searches read it, and neither changes it
+        # genera and loops leave the loopless core alone: one cache entry
+        # serves every decoration, holding the table and one search output
+        # per strictness, and later rounds change neither
         kite = ((0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
         graph = DualGraph((0,) * 4, kite + ((2, 2),))
         core = DualGraph((0,) * 4, kite)
@@ -233,12 +235,53 @@ class TestEnumeration:
         connected_subsets.cache_clear()
         enumerate_all()
         assert connected_subsets.cache_info().misses == 1
-        table = connected_subsets(core)
-        snapshot = copy.deepcopy(table)
-        assert snapshot == connected_subsets.__wrapped__(core)
+        rows, found = connected_subsets(core)
+        snapshot = copy.deepcopy((rows, found))
+        assert rows == connected_subsets.__wrapped__(core)[0]
+        assert found.keys() == {False, True}
+        stored = {strict: degrees for strict, (_shift, degrees) in found.items()}
         enumerate_all()
         assert connected_subsets.cache_info().misses == 1
-        assert table == snapshot
+        assert (rows, found) == snapshot
+        assert all(found[strict][1] is degrees for strict, degrees in stored.items())
+
+    def test_warm_equals_cold(self):
+        # decorations of one core, and unions sharing a core, in shuffled
+        # order: the stored output comes from whichever asked first, so
+        # the shift moves it both up and down
+        loopy = [dec for graph in connected_multigraphs(3, 5)
+                 for dec in genus_decorations(graph, 2)]
+        small = [dec for graph in connected_multigraphs(2, 3)
+                 for dec in genus_decorations(graph, 1)]
+        graphs = loopy + [_interleaved_union(a, b) for a, b in itertools.product(small, repeat=2)]
+        assert len(graphs) >= 2000
+        random.Random(37).shuffle(graphs)
+        cold = []
+        for graph in graphs:
+            connected_subsets.cache_clear()
+            semistable = enumerate_semistable(graph)
+            connected_subsets.cache_clear()
+            cold.append((semistable, enumerate_stable(graph)))
+        connected_subsets.cache_clear()
+        for graph, expected in zip(graphs, cold):
+            assert (enumerate_semistable(graph), enumerate_stable(graph)) == expected
+
+    @pytest.mark.parametrize("enumerate_", [enumerate_semistable, enumerate_stable])
+    def test_callers_may_mutate_the_output(self, enumerate_):
+        kite = ((0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
+        first = DualGraph((0, 1, 0, 2), kite + ((2, 2),))
+        second = DualGraph((1, 0, 2, 0), kite)
+        expected = []
+        for graph in first, second:
+            connected_subsets.cache_clear()
+            expected.append(enumerate_(graph))
+        connected_subsets.cache_clear()
+        for mutate in (lambda out: out.append((9, 9, 9, 9)),
+                       lambda out: out.sort(reverse=True), list.clear):
+            mutate(enumerate_(first))
+            assert [enumerate_(first), enumerate_(second)] == expected
+            mutate(enumerate_(second))
+            assert [enumerate_(first), enumerate_(second)] == expected
 
 
 @st.composite
