@@ -14,7 +14,9 @@ Curves are read from a JSON file:
 two half-edges attach (side order 1, 2); points are ``[a, 1]`` pairs or
 ``[1, 0]`` for infinity, and are reduced mod the working prime.  The
 field data is required exactly by the cohomology commands (h0, wcount,
-abel, hyperelliptic), which also require every genus to be 0.
+abel, hyperelliptic), which also require every genus to be 0.  Any other
+field, a vertex field other than ``genus``, or a ``branch_points`` key
+that names no edge is a schema error.
 
 Exit codes: 0 success, 1 domain error (bad mathematical input, budget
 refusal), 2 usage or schema error.  Output is deterministic: identical
@@ -68,6 +70,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_keys(fields: dict, known, path: str, what: str) -> None:
+    for key in fields:
+        if key not in known:
+            raise SpecError(path, f"unknown {what} {key!r}")
+
+
 def parse_graph(spec: dict) -> DualGraph:
     if not isinstance(spec, dict):
         raise SpecError("$", "curve spec must be a JSON object")
@@ -94,6 +102,9 @@ def parse_graph(spec: dict) -> DualGraph:
         if not (0 <= u < len(genera) and 0 <= v < len(genera)):
             raise SpecError(f"edges[{i}]", "vertex index out of range")
         edges.append((u, v))
+    _check_keys(spec, ("vertices", "edges", "branch_points", "field_prime"), "$", "field")
+    for i, v in enumerate(vertices):
+        _check_keys(v, ("genus",), f"vertices[{i}]", "field")
     return DualGraph(tuple(genera), tuple(edges))
 
 
@@ -142,6 +153,7 @@ def parse_curve(spec: dict, prime: int | None = None) -> GraphCurve:
             raise SpecError(f"branch_points.{key}", "need a pair of points")
         branch[(e, 1)] = _parse_point(pair[0], f"branch_points.{key}[0]", prime)
         branch[(e, 2)] = _parse_point(pair[1], f"branch_points.{key}[1]", prime)
+    _check_keys(bp, {str(e) for e in range(graph.num_edges)}, "branch_points", "edge")
     try:
         return gc.GraphCurve(graph, prime, branch)
     except ValueError as exc:

@@ -36,15 +36,17 @@ assigned prefix, so the search never backs out of a dead end, and its
 output is lexicographic as generated.  Nothing in it depends on the
 decoration: it runs once per core and strictness, its output kept with
 the bound table in the core's ``dual_graph.connected_subsets`` cache
-entry (so the subset cap holds), and each decoration shifts that
-output.  The agreement of enumeration and predicates, and of both with
-exhaustive orientation enumeration on small graph families, is one of
-the package's main self-checks.
+entry (so the subset cap holds).  A decoration whose shift is the
+stored one gets the stored tuples themselves; any other shifts them in
+one pass over the flattened vectors.  The agreement of enumeration and
+predicates, and of both with exhaustive orientation enumeration on
+small graph families, is one of the package's main self-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle
 from operator import add, sub
 
 from .dual_graph import DualGraph, connected_subsets, cross_edges, dfs_ends
@@ -71,17 +73,6 @@ def degree_box(graph: DualGraph) -> list[tuple[int, int]]:
         lo = graph.genera[v] + graph.loops_at(v) - 1
         box.append((lo, lo + graph.nonloop_valency(v)))
     return box
-
-
-def _core(graph: DualGraph) -> DualGraph:
-    """The loopless genus-0 core: the non-loop edges on the same vertices.
-
-    Connected subcurves, their edge counts and so the search's output
-    depend only on the core; ``connected_subsets`` keeps all of them in
-    its cache entry, so the search runs once per core and strictness.
-    """
-    return DualGraph((0,) * graph.num_vertices,
-                     tuple((u, v) for u, v in graph.edges if u != v))
 
 
 # -- orientation core ---------------------------------------------------
@@ -169,25 +160,33 @@ def enumerate_stable(graph: DualGraph) -> list[Multidegree]:
 
 
 def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
-    """The core's search output, run once per core and strictness and kept
-    in its ``connected_subsets`` entry, moved by this decoration's shift (a
-    constant, so the order holds), as a fresh list of shared or new tuples."""
+    """The search output of the loopless genus-0 core (the non-loop edges on
+    the same vertices), moved by this decoration's shift.
+
+    Connected subcurves, their edge counts and so the search's output
+    depend only on the core; ``connected_subsets`` keeps all of them in
+    its cache entry, so the search runs once per core and strictness.  The
+    stored shift gets the stored tuples, any other new ones moved by a
+    constant (so the order holds); either way the list is fresh."""
     n = graph.num_vertices
     shift = [g - 1 for g in graph.genera]
-    for u, v in graph.edges:
+    edges = []
+    for e in graph.edges:
+        u, v = e
         if u == v:
             shift[u] += 1
-    core = _core(graph)
+        else:
+            edges.append(e)
     if n == 1:
         return [(shift[0],)]
+    core = DualGraph((0,) * n, tuple(edges))
     bounds, found = connected_subsets(core)  # per highest vertex: (rest of Z, lo, hi)
     if strict not in found:
-        found[strict] = shift, _search(bounds, strict, shift, core.num_edges)
+        found[strict] = shift, _search(bounds, strict, shift, len(edges))
     base, degrees = found[strict]
     if shift == base:
         return list(degrees)
-    delta = list(map(sub, shift, base))
-    return [tuple(map(add, delta, d)) for d in degrees]
+    return list(zip(*[map(add, cycle(map(sub, shift, base)), chain.from_iterable(degrees))] * n))
 
 
 def _search(bounds, strict: bool, shift: list[int], total_b: int) -> list[Multidegree]:

@@ -96,6 +96,13 @@ def smooth_locus_strata(graph: DualGraph) -> list[Stratum]:
     return [Stratum(nodes=bridges, degree=d, dim=dim, kind="picard") for d in degrees]
 
 
+def _check_strata(graph: DualGraph, *strata: Stratum) -> None:
+    n, m = graph.num_vertices, graph.num_edges
+    for s in strata:
+        if len(s.degree) != n or any(not 0 <= e < m for e in s.nodes):
+            raise ValueError("stratum does not belong to this graph")
+
+
 def closure_candidate(graph: DualGraph, s1: Stratum, s2: Stratum) -> bool:
     """Necessary conditions for ``s2`` to lie in the closure of ``s1``.
 
@@ -107,10 +114,13 @@ def closure_candidate(graph: DualGraph, s1: Stratum, s2: Stratum) -> bool:
     branch count is ambiguous for nodes joining two components, so only
     this weaker, consistent form is enforced.
     """
+    _check_strata(graph, s1, s2)
+    return _closes(graph, s1, s2)
+
+
+def _closes(graph: DualGraph, s1: Stratum, s2: Stratum) -> bool:
+    """``closure_candidate`` on strata already checked against ``graph``."""
     n = graph.num_vertices
-    for s in (s1, s2):
-        if len(s.degree) != n or any(not 0 <= e < graph.num_edges for e in s.nodes):
-            raise ValueError("stratum does not belong to this graph")
     if s1 == s2:
         return False
     set1, set2 = frozenset(s1.nodes), frozenset(s2.nodes)
@@ -233,13 +243,15 @@ def _label(s: Stratum) -> str:
 
 
 def strata_poset_dot(graph: DualGraph, strata) -> str:
-    """GraphViz rendering of the candidate-closure poset."""
+    """GraphViz rendering of the candidate-closure poset; each stratum is
+    checked once, and only strictly nested node subsets are tried."""
+    _check_strata(graph, *strata)
+    masks = [sum(1 << e for e in set(s.nodes)) for s in strata]
+    above = {low: [j for j, high in enumerate(masks) if high != low and high & low == low]
+             for low in set(masks)}
     lines = ["digraph strata {"]
-    for i, s in enumerate(strata):
-        lines.append(f'  n{i} [label="{_label(s)}"];')
-    for i, s1 in enumerate(strata):
-        for j, s2 in enumerate(strata):
-            if i != j and closure_candidate(graph, s1, s2):
-                lines.append(f"  n{i} -> n{j};")
+    lines += [f'  n{i} [label="{_label(s)}"];' for i, s in enumerate(strata)]
+    for i, (s, mask) in enumerate(zip(strata, masks)):
+        lines += [f"  n{i} -> n{j};" for j in above[mask] if _closes(graph, s, strata[j])]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodaltheta import multidegree, selfcheck
-from nodaltheta.cli import SpecError, load_spec, parse_curve, run
+from nodaltheta.cli import SpecError, load_spec, parse_curve, parse_graph, run
 from nodaltheta.graph_curve import rank_scan
 from nodaltheta.modp import PRIMALITY_LIMIT
 
@@ -27,6 +27,9 @@ THETA_SPEC = {
     },
     "field_prime": 11,
 }
+
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "perfbench" / "specs"
 
 BRIDGE_SPEC = {"vertices": [{"genus": 1}, {"genus": 2}], "edges": [[0, 1]]}
 
@@ -374,6 +377,36 @@ class TestErrors:
         path = tmp_path / "nobranch.json"
         path.write_text(json.dumps(BRIDGE_SPEC))
         assert run(["h0", str(path), "--degrees", "0,0", "--gluing", "1"]) == 2
+
+    @pytest.mark.parametrize("spec, argv, message", [
+        ({"vertices": [{"genus": 0}, {"genus": 0}], "edgse": [[0, 1], [0, 1]]},
+         ["genus"], "$: unknown field 'edgse'"),
+        ({"vertices": [{"genius": 1, "genus": 0}], "edges": []},
+         ["genus"], "vertices[0]: unknown field 'genius'"),
+        (dict(THETA_SPEC, branch_points={**THETA_SPEC["branch_points"], "9": [[3, 1], [4, 1]]}),
+         ["h0", "--degrees", "0,1", "--gluing", "1,1,1"], "branch_points: unknown edge '9'"),
+    ], ids=["top-level", "vertex", "branch-point"])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, spec, argv, message):
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(spec))
+        assert run([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"spec error: {message}\n"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+    def test_benchmark_specs_parse(self, name):
+        spec = load_spec(str(SPECS / name))
+        if name == "bad.json":  # refused for its edge, before any key check
+            with pytest.raises(SpecError, match=r"^edges\[1\]: vertex index out of range$"):
+                parse_graph(spec)
+        elif "branch_points" in spec:
+            parse_curve(spec)
+        else:
+            parse_graph(spec)
+
+    def test_readme_example_parses(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"## Command line.*?```json\n(.*?)```", readme, re.S).group(1)
+        parse_curve(json.loads(example))
 
     def test_domain_error_exit_one(self, capsys, theta_spec):
         # a non-semistable multidegree is a domain error, not usage

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import operator
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     brute_is_stable_orientation,
     disjoint_union,
 )
+from nodaltheta import multidegree
 from nodaltheta.dual_graph import DualGraph, connected_subsets
 from nodaltheta.families import connected_multigraphs, genus_decorations
 from nodaltheta.multidegree import (
@@ -244,6 +246,48 @@ class TestEnumeration:
         assert connected_subsets.cache_info().misses == 1
         assert (rows, found) == snapshot
         assert all(found[strict][1] is degrees for strict, degrees in stored.items())
+
+    def test_one_search_per_core_and_strictness(self, monkeypatch):
+        calls = []
+        search = multidegree._search
+
+        def counted(bounds, strict, shift, total_b):
+            calls.append(strict)
+            return search(bounds, strict, shift, total_b)
+
+        monkeypatch.setattr(multidegree, "_search", counted)
+        kite = ((0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
+        connected_subsets.cache_clear()
+        for decorated in genus_decorations(DualGraph((0,) * 4, kite + ((2, 2),)), 2):
+            enumerate_semistable(decorated)
+            enumerate_stable(decorated)
+        assert sorted(calls) == [False, True]
+
+    @pytest.mark.parametrize("enumerate_", [enumerate_semistable, enumerate_stable])
+    def test_stored_shift_gets_the_stored_tuples(self, enumerate_):
+        # a loop shifts its vertex as one more genus does, so the twin asks
+        # with the stored shift and every other decoration with another
+        kite = ((0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
+        first = DualGraph((0, 0, 0, 0), kite + ((2, 2),))
+        twin = DualGraph((0, 0, 1, 0), kite)
+        others = [graph for graph in genus_decorations(DualGraph((0,) * 4, kite), 1)
+                  if graph.genera != twin.genera]
+        cold = []
+        for graph in others:
+            connected_subsets.cache_clear()
+            cold.append(enumerate_(graph))
+        connected_subsets.cache_clear()
+        stored = enumerate_(first)
+        assert stored
+        for graph in first, twin:
+            out = enumerate_(graph)
+            assert out is not stored and len(out) == len(stored)
+            assert all(map(operator.is_, out, stored))
+        stored_ids = set(map(id, stored))
+        for graph, expected in zip(others, cold):
+            out = enumerate_(graph)
+            assert out == expected
+            assert stored_ids.isdisjoint(map(id, out))
 
     def test_warm_equals_cold(self):
         # decorations of one core, and unions sharing a core, in shuffled

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from math import comb
 
 import pytest
@@ -319,3 +320,27 @@ class TestEmitters:
             for s2 in strata
             if closure_candidate(graph, s1, s2)
         )
+
+    @pytest.mark.parametrize("graph", [
+        theta_graph(),
+        DualGraph((0, 0), ((0, 1),) * 6),
+        DualGraph((0, 0, 0), ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2))),
+        DualGraph((1, 0, 0), ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (2, 2))),
+    ], ids=["theta", "banana-6", "doubled-triangle", "kite"])
+    def test_dot_arcs_are_the_candidate_pairs(self, graph):
+        strata = enumerate_picard_strata(graph)
+        arcs = re.findall(r"^  n(\d+) -> n(\d+);$", strata_poset_dot(graph, strata), re.M)
+        assert [(int(i), int(j)) for i, j in arcs] == [
+            (i, j)
+            for i, s1 in enumerate(strata)
+            for j, s2 in enumerate(strata)
+            if closure_candidate(graph, s1, s2)
+        ]
+
+    @pytest.mark.parametrize("stratum", [
+        Stratum((), (0, 1, 0), 2, "picard"),
+        Stratum((3,), (0, 0), 1, "picard"),
+    ], ids=["degree-length", "node-index"])
+    def test_dot_rejects_a_lone_foreign_stratum(self, stratum):
+        with pytest.raises(ValueError, match="does not belong to this graph"):
+            strata_poset_dot(theta_graph(), [stratum])
