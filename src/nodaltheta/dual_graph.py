@@ -293,9 +293,12 @@ def cross_edges(graph: DualGraph, ends) -> tuple[int, ...]:
 # -- subcurve enumeration ---------------------------------------------
 
 @lru_cache(maxsize=4096)
-def connected_subsets(graph: DualGraph) -> tuple[tuple[tuple[tuple, ...], ...], dict]:
-    """``(rows, found)``: connected subcurves with their edge counts, by
-    highest vertex, and a slot for the degree vectors they bound.
+def connected_subsets(n: int, edges: tuple) -> tuple[tuple[tuple[tuple, ...], ...], dict]:
+    """``(rows, found)``: connected subcurves of the graph on vertices
+    ``0..n-1`` with edge tuple ``edges`` (pairs of valid vertex indices, as
+    in ``DualGraph.edges``; genera play no part), with their edge counts, by
+    highest vertex, and a slot for the degree vectors they bound.  The
+    cache is keyed on exactly these two arguments.
 
     Row ``v`` of ``rows`` has an entry ``(rest, inner, touching)`` for each
     connected induced subgraph with highest vertex ``v``: its other
@@ -312,8 +315,7 @@ def connected_subsets(graph: DualGraph) -> tuple[tuple[tuple[tuple, ...], ...], 
     of this core that asked and that call's output list, so the search
     runs once per core and strictness and its result lives in this entry.
     """
-    n = graph.num_vertices
-    mult = Counter((min(e), max(e)) for e in graph.edges)  # edges per vertex pair
+    mult = Counter((min(e), max(e)) for e in edges)  # edges per vertex pair
     width = max(mult.values(), default=1)
     # weights[a]: in the width-bit field of each vertex b, one bit per edge joining a and b
     weights, nbr, valency = [0] * n, [0] * n, [0] * n

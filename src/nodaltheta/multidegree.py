@@ -35,12 +35,13 @@ these are the bounds of the projection of a base polyhedron onto the
 assigned prefix, so the search never backs out of a dead end, and its
 output is lexicographic as generated.  Nothing in it depends on the
 decoration: it runs once per core and strictness, its output kept with
-the bound table in the core's ``dual_graph.connected_subsets`` cache
-entry (so the subset cap holds).  A decoration whose shift is the
-stored one gets the stored tuples themselves; any other shifts them in
-one pass over the flattened vectors.  The agreement of enumeration and
-predicates, and of both with exhaustive orientation enumeration on
-small graph families, is one of the package's main self-checks.
+the bound table in the ``dual_graph.connected_subsets`` cache entry of
+the core's vertex count and edge tuple (so the subset cap holds).  A
+decoration whose shift is the stored one gets the stored tuples
+themselves; any other shifts them in one pass over the flattened
+vectors.  The agreement of enumeration and predicates, and of both with
+exhaustive orientation enumeration on small graph families, is one of
+the package's main self-checks.
 """
 
 from __future__ import annotations
@@ -165,9 +166,11 @@ def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
 
     Connected subcurves, their edge counts and so the search's output
     depend only on the core; ``connected_subsets`` keeps all of them in
-    its cache entry, so the search runs once per core and strictness.  The
-    stored shift gets the stored tuples, any other new ones moved by a
-    constant (so the order holds); either way the list is fresh."""
+    its cache entry, keyed on the vertex count and the core's edge tuple
+    (no core graph is built: this one was validated already), so the
+    search runs once per core and strictness.  The stored shift gets the
+    stored tuples, any other new ones moved by a constant (so the order
+    holds); either way the list is fresh."""
     n = graph.num_vertices
     shift = [g - 1 for g in graph.genera]
     edges = []
@@ -179,8 +182,7 @@ def _enumerate(graph: DualGraph, strict: bool) -> list[Multidegree]:
             edges.append(e)
     if n == 1:
         return [(shift[0],)]
-    core = DualGraph((0,) * n, tuple(edges))
-    bounds, found = connected_subsets(core)  # per highest vertex: (rest of Z, lo, hi)
+    bounds, found = connected_subsets(n, tuple(edges))  # per highest vertex: (rest of Z, lo, hi)
     if strict not in found:
         found[strict] = shift, _search(bounds, strict, shift, len(edges))
     base, degrees = found[strict]

@@ -383,15 +383,18 @@ def _check_theta_bookkeeping(fast):
         if top != [st.Stratum(s.nodes, s.degree, s.dim - 1, "theta")
                    for s in st.smooth_locus_strata(dec)]:
             return False, f"theta strata at the bridges vs smooth locus on {dec}"
-        g_total = dec.arithmetic_genus()
-        for s in st.enumerate_picard_strata(dec):
-            normalized = dec.delete_edges(s.nodes)
-            expected = (g_total - len(s.nodes)
-                        + len(normalized.connected_components()) - 1)
-            if s.dim != expected:
-                return False, f"stratum dimension off on {dec}"
-            if tuple(s.degree) not in md.enumerate_stable(normalized):
-                return False, f"stratum degree not stable on its normalization on {dec}"
+        # each node subset's strata are its normalization's stable classes
+        g_total, expected = dec.arithmetic_genus(), []
+        for k in range(dec.num_edges + 1):
+            for nodes in itertools.combinations(range(dec.num_edges), k):
+                normalized = dec.delete_edges(nodes)
+                dim = g_total - k + brute_component_count(normalized) - 1
+                expected += [(nodes, d, dim) for d in md.enumerate_stable(normalized)]
+        picard = st.enumerate_picard_strata(dec)
+        if [(s.nodes, s.degree, s.dim) for s in picard] != expected:
+            return False, f"picard strata vs each normalization's stable classes on {dec}"
+        if strata != [st.Stratum(s.nodes, s.degree, s.dim - 1, "theta") for s in picard]:
+            return False, f"theta strata vs picard strata one dimension down on {dec}"
         checked += 1
     return True, f"{checked} decorated graphs"
 

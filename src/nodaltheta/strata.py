@@ -6,7 +6,8 @@ multidegree on the normalization at ``S``; its dimension is
 ``g - #S + (#components of the normalization) - 1``.  The theta divisor
 shares the same index set; on each stratum it is the effective locus of
 the normalization, a divisor there or empty, so its strata are the Picard
-strata one dimension down.
+strata one dimension down.  Both come from one pass over the node subsets
+that normalizes once per distinct kept-edge tuple, not once per subset.
 
 Closure between strata is only ever reported as a *candidate* relation:
 the implemented conditions are necessary, not known to be sufficient.
@@ -59,14 +60,20 @@ def _edge_subsets(graph: DualGraph):
 
 
 def _stable_normalizations(graph: DualGraph):
-    """Each node subset ``S`` whose normalization has a stable multidegree,
-    normalized once: ``(S, Picard stratum dimension, stable classes)``."""
-    g = graph.arithmetic_genus()
+    """Each node subset ``S`` whose normalization has a stable multidegree:
+    ``(S, Picard stratum dimension, stable classes)``, normalized once per
+    kept-edge tuple (loops too: a kept loop moves the shift) in a dict kept
+    for this call only."""
+    g, edges, indices = graph.arithmetic_genus(), graph.edges, range(graph.num_edges)
+    seen = {}  # kept edges -> (component count - 1, stable classes)
     for s in _edge_subsets(graph):
-        normalized = graph.delete_edges(s)
-        degrees = enumerate_stable(normalized)
+        kept = tuple([edges[e] for e in indices if e not in s])
+        if kept not in seen:
+            normalized = DualGraph(graph.genera, kept)
+            seen[kept] = len(normalized.connected_components()) - 1, enumerate_stable(normalized)
+        extra, degrees = seen[kept]
         if degrees:
-            yield s, g - len(s) + len(normalized.connected_components()) - 1, degrees
+            yield s, g - len(s) + extra, degrees
 
 
 def _at_bridges(graph: DualGraph):

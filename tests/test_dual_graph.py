@@ -169,8 +169,8 @@ class TestStrip:
 
 def subsets(graph):
     """The connected subsets of the table, each as a frozenset of vertices."""
-    return [frozenset((v, *rest)) for v, row in enumerate(connected_subsets(graph)[0])
-            for rest, _inner, _touching in row]
+    rows = connected_subsets(graph.num_vertices, graph.edges)[0]
+    return [frozenset((v, *rest)) for v, row in enumerate(rows) for rest, _inner, _touching in row]
 
 
 def _subset_families():
@@ -199,8 +199,9 @@ class TestConnectedSubsets:
         path = DualGraph((0,) * 15, tuple((i, i + 1) for i in range(14)))
         assert len(subsets(path)) == 15 * 16 // 2
         assert len(subsets(complete_graph(14))) == (1 << 14) - 1
+        k15 = complete_graph(15)
         with pytest.raises(GraphTooLargeError, match="cap of 16384"):
-            connected_subsets(complete_graph(15))
+            connected_subsets(k15.num_vertices, k15.edges)
 
     def test_cap_counts_each_component(self):
         cycle = tuple((i, (i + 1) % 8) for i in range(8))
@@ -214,7 +215,7 @@ class TestConnectedSubsets:
         k14 = complete_graph(14)
         two_k14 = DualGraph((0,) * 28, k14.edges + tuple((u + 14, v + 14) for u, v in k14.edges))
         with pytest.raises(GraphTooLargeError):
-            connected_subsets(two_k14)
+            connected_subsets(two_k14.num_vertices, two_k14.edges)
 
     def test_matches_brute_force(self):
         for graph in [*connected_multigraphs(3, 3), *_subset_families()]:
@@ -237,7 +238,7 @@ class TestConnectedSubsets:
         reversed_pairs = [DualGraph((0,) * 3, ((1, 0), (0, 1), (2, 2), (2, 1), (2, 2), (1, 1))),
                           DualGraph((0,) * 4, ((3, 0), (3, 3), (0, 3), (2, 1), (1, 2), (1, 3)))]
         for graph in [*connected_multigraphs(4, 6), *_subset_families(), *reversed_pairs]:
-            for top, row in enumerate(connected_subsets(graph)[0]):
+            for top, row in enumerate(connected_subsets(graph.num_vertices, graph.edges)[0]):
                 for rest, inner, touching in row:
                     assert all(v < top for v in rest)
                     sub = {top, *rest}

@@ -227,7 +227,6 @@ class TestEnumeration:
         # per strictness, and later rounds change neither
         kite = ((0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
         graph = DualGraph((0,) * 4, kite + ((2, 2),))
-        core = DualGraph((0,) * 4, kite)
 
         def enumerate_all():
             for decorated in genus_decorations(graph, 2):
@@ -237,9 +236,9 @@ class TestEnumeration:
         connected_subsets.cache_clear()
         enumerate_all()
         assert connected_subsets.cache_info().misses == 1
-        rows, found = connected_subsets(core)
+        rows, found = connected_subsets(4, kite)
         snapshot = copy.deepcopy((rows, found))
-        assert rows == connected_subsets.__wrapped__(core)[0]
+        assert rows == connected_subsets.__wrapped__(4, kite)[0]
         assert found.keys() == {False, True}
         stored = {strict: degrees for strict, (_shift, degrees) in found.items()}
         enumerate_all()

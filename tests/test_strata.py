@@ -76,6 +76,27 @@ class TestPicardStrata:
         keys = [(len(s.nodes), s.nodes, s.degree) for s in strata]
         assert keys == sorted(keys)
 
+    def test_one_normalization_per_kept_edge_tuple(self, monkeypatch):
+        # parallel copies of an edge leave the same kept edges whichever
+        # copy is dropped: 3 ways per doubled pair, 13 for 12 parallel edges
+        # and, with no repeated edge, one per subset
+        calls = []
+
+        def counted(graph):
+            calls.append(graph.edges)
+            return enumerate_stable(graph)
+
+        monkeypatch.setattr("nodaltheta.strata.enumerate_stable", counted)
+        k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        c6_chords = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4), (2, 5))
+        for graph, distinct in [(DualGraph((0,) * 4, tuple(p for p in k4 for _ in (0, 1))), 729),
+                                (DualGraph((0, 0), ((0, 1),) * 12), 13),
+                                (DualGraph((1, 0, 2, 0, 1, 0), c6_chords), 512)]:
+            for _ in range(2):  # nothing is carried from one call to the next
+                calls.clear()
+                enumerate_picard_strata(graph)
+                assert len(calls) == len(set(calls)) == distinct
+
 
 class TestSmoothLocus:
     def test_bridgeless_uses_empty_set(self):
